@@ -197,10 +197,12 @@ def serial_accumulate(probe_rows: Sequence[int], compute: ComputeRows,
     preset = compute.c1 if fold_or else compute.c0
     merge = or3 if fold_or else and3
     cmds = cpy(compute.r2, init, timing)
+    # everything after the staging copy is the same for every probe
+    step = (cpy(compute.r1, preset, timing) + merge(compute, timing)
+            if probe_rows else [])
     for row in probe_rows:
         cmds += cpy(compute.r3, row, timing)
-        cmds += cpy(compute.r1, preset, timing)
-        cmds += merge(compute, timing)
+        cmds += step
     cmds += [pre(timing.t_rp), act(compute.r2, timing.t_ras)]
     return cmds
 
@@ -217,24 +219,36 @@ def serial_hd1(probe_rows: Sequence[int], compute: ComputeRows, temps: TempRows,
     """
     stage, exact, tolerant = temps.xnor, temps.exact, temps.tolerant
     cmds = cpy(exact, compute.c1, timing) + cpy(tolerant, compute.c1, timing)
+    step = _hd1_step(compute, temps, timing) if probe_rows else []
     for row in probe_rows:
         cmds += cpy(stage, row, timing)
-        cmds += cpy(compute.r1, compute.c0, timing)
-        cmds += cpy(compute.r2, tolerant, timing)
-        cmds += cpy(compute.r3, stage, timing)
-        cmds += and3(compute, timing)
-        cmds += cpy(tolerant, compute.r2, timing)
-        cmds += cpy(compute.r1, compute.c1, timing)
-        cmds += cpy(compute.r2, tolerant, timing)
-        cmds += cpy(compute.r3, exact, timing)
-        cmds += or3(compute, timing)
-        cmds += cpy(tolerant, compute.r2, timing)
-        cmds += cpy(compute.r1, compute.c0, timing)
-        cmds += cpy(compute.r2, exact, timing)
-        cmds += cpy(compute.r3, stage, timing)
-        cmds += and3(compute, timing)
-        cmds += cpy(exact, compute.r2, timing)
+        cmds += step
     cmds += [pre(timing.t_rp), act(tolerant, timing.t_ras)]
+    return cmds
+
+
+def _hd1_step(compute: ComputeRows, temps: TempRows,
+              timing: TimingModel) -> list[Command]:
+    """One distance-1 position once its match read is staged in `xnor`.
+
+    It is the same for every position, so it is built once per program.
+    """
+    stage, exact, tolerant = temps.xnor, temps.exact, temps.tolerant
+    cmds = cpy(compute.r1, compute.c0, timing)
+    cmds += cpy(compute.r2, tolerant, timing)
+    cmds += cpy(compute.r3, stage, timing)
+    cmds += and3(compute, timing)
+    cmds += cpy(tolerant, compute.r2, timing)
+    cmds += cpy(compute.r1, compute.c1, timing)
+    cmds += cpy(compute.r2, tolerant, timing)
+    cmds += cpy(compute.r3, exact, timing)
+    cmds += or3(compute, timing)
+    cmds += cpy(tolerant, compute.r2, timing)
+    cmds += cpy(compute.r1, compute.c0, timing)
+    cmds += cpy(compute.r2, exact, timing)
+    cmds += cpy(compute.r3, stage, timing)
+    cmds += and3(compute, timing)
+    cmds += cpy(exact, compute.r2, timing)
     return cmds
 
 

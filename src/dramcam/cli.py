@@ -231,7 +231,9 @@ def cmd_bench(args) -> int:
                 per_query.extend(compiled.trace)
             all_cmds.extend(per_query)
             first_cmds = first_cmds or per_query
-        items = sum(g.kmers for g in db.layout.groups)
+        # shards run the compare side by side, so one pass covers one
+        # subarray's share of the k-mers, not the whole database
+        items = round(sum(g.kmers for g in db.layout.groups) / len(shards))
     else:
         wdb = cam.load_word_db(args.db)
         device = cfg.device

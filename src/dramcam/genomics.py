@@ -11,9 +11,11 @@ contiguous column group so a match's column address names its species.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -139,10 +141,18 @@ class GenomeLayout:
     def hot_row(self, stratum: int, position: int, base: str) -> int:
         return stratum * 4 * self.k + 4 * position + _BASE_OFFSET[base]
 
+    @cached_property
+    def _by_start(self) -> tuple[list[int], list[TaxonGroup]]:
+        """Non-empty groups sorted by first column, and those first columns."""
+        ordered = sorted((g for g in self.groups if g.columns > 0),
+                         key=lambda g: g.start)
+        return [g.start for g in ordered], ordered
+
     def group_of_column(self, column: int) -> TaxonGroup | None:
-        for g in self.groups:
-            if g.start <= column < g.start + g.columns:
-                return g
+        starts, ordered = self._by_start
+        i = bisect_right(starts, column) - 1
+        if i >= 0 and column < ordered[i].start + ordered[i].columns:
+            return ordered[i]
         return None
 
     def occupied(self, stratum: int, column: int) -> bool:

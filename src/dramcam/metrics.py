@@ -14,10 +14,12 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .config import DeviceConfig, EnergyModel, TimingModel
-from .core import MicroOp, detect_micro_op
-from .errors import AccountingFault, AddressFault, TraceFormatError
-from .trace import Command, CommandKind
+from .core import lower
+from .errors import AccountingFault, TraceFormatError
+from .trace import Command
 
 
 @dataclass
@@ -41,44 +43,26 @@ class Report:
 
 def account(trace: list[Command], timing: TimingModel,
             energy: EnergyModel) -> Report:
-    """Tally command counts, simulated latency and energy for a trace."""
-    counts = {"ACT": 0, "PRE": 0, "truncated_act": 0, "truncated_pre": 0,
-              "row_copy": 0, "multi_activate": 0}
-    latency = 0
-    micro_ops = 0
-    lenient = dataclasses.replace(timing, strict=False)
-    window: list[Command] = []
-    for cmd in trace:
-        if cmd.gap_after < 0:
-            raise TraceFormatError(f"negative gap on {cmd}")
-        latency += cmd.gap_after
-        if cmd.kind is CommandKind.ACT:
-            counts["ACT"] += 1
-            if cmd.gap_after < timing.t_multi_threshold:
-                counts["truncated_act"] += 1
-                micro_ops += 1
-        else:
-            counts["PRE"] += 1
-            if cmd.gap_after < timing.t_copy_threshold:
-                counts["truncated_pre"] += 1
-                micro_ops += 1
-        # Pattern counts are informational; the energy terms above stay
-        # local so that accounting remains additive under concatenation.
-        window.append(cmd)
-        if len(window) > 3:
-            window.pop(0)
-        if cmd.kind is CommandKind.ACT:
-            try:
-                decision = detect_micro_op(window, lenient)
-            except AddressFault:
-                decision = None  # unconstrained rows: count nothing
-            if decision is None:
-                pass
-            elif decision.kind is MicroOp.ROW_COPY:
-                counts["row_copy"] += 1
-            elif decision.kind is MicroOp.MULTI_ACTIVATE:
-                counts["multi_activate"] += 1
+    """Tally command counts, simulated latency and energy for a trace.
 
+    Counts come from the same lowering the simulator executes, on lenient
+    timing: undefined-band windows count as standard, and a majority on
+    rows outside one constrained triple counts nothing.
+    """
+    low = lower(trace, dataclasses.replace(timing, strict=False))
+    negative = np.flatnonzero(low.gaps < 0)
+    if len(negative):
+        raise TraceFormatError(f"negative gap on {trace[negative[0]]}")
+    below_multi, below_copy, _, _ = low.flags
+    acts = int(low.is_act.sum())
+    counts = {"ACT": acts, "PRE": len(trace) - acts,
+              "truncated_act": int((low.is_act & below_multi).sum()),
+              "truncated_pre": int((~low.is_act & below_copy).sum()),
+              "row_copy": low.copies, "multi_activate": low.majorities}
+    # Pattern counts are informational; the energy terms stay local to one
+    # command so that accounting remains additive under concatenation.
+    micro_ops = counts["truncated_act"] + counts["truncated_pre"]
+    latency = low.duration
     latency_ns = timing.ns(latency)
     energy_pj = (counts["ACT"] * energy.act_pj + counts["PRE"] * energy.pre_pj
                  + micro_ops * energy.micro_op_pj

@@ -11,6 +11,7 @@ fall out of presetting one row to all-zeros or all-ones beforehand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .config import TimingModel
 from .errors import AddressFault, LayoutFault, NoOpFault
@@ -100,37 +101,48 @@ def allocate_reserved_rows(rows_per_subarray: int) -> tuple[ComputeRows, TempRow
     return compute, temps
 
 
-def cpy(target: int, source: int, timing: TimingModel) -> list[Command]:
-    """Row copy fragment: open source, truncate the precharge, open target."""
+# Fragments depend only on frozen arguments, so each is built and checked
+# once; the public builders hand out fresh lists that callers may extend.
+# lru_cache stores no exceptions, so a bad fragment faults on every call.
+
+@lru_cache(maxsize=4096)
+def _copy_fragment(target: int, source: int,
+                   timing: TimingModel) -> tuple[Command, ...]:
     if target == source:
         raise NoOpFault(f"copy of row {source} onto itself")
     if target < 0 or source < 0:
         raise AddressFault(f"negative row in copy {source} -> {target}")
-    return [
+    return (
         pre(timing.t_rp),
         act(source, timing.t_ras),
         pre(timing.copy_gap),
         act(target, timing.t_ras),
-    ]
+    )
 
 
-def _majority(rows: ComputeRows, timing: TimingModel) -> list[Command]:
+def cpy(target: int, source: int, timing: TimingModel) -> list[Command]:
+    """Row copy fragment: open source, truncate the precharge, open target."""
+    return list(_copy_fragment(target, source, timing))
+
+
+@lru_cache(maxsize=256)
+def _majority(rows: ComputeRows, timing: TimingModel) -> tuple[Command, ...]:
     violation = check_row_constraints(rows)
     if violation:
         raise AddressFault(violation)
-    return [
+    return (
         pre(timing.t_rp),
         act(rows.r1, timing.multi_gap),
         pre(timing.multi_gap),
         act(rows.r2, timing.t_ras),
-    ]
+    )
 
 
 def and3(rows: ComputeRows, timing: TimingModel) -> list[Command]:
     """Majority fragment used as AND: a participant row must hold all-zeros."""
-    return _majority(rows, timing)
+    return list(_majority(rows, timing))
 
 
 def or3(rows: ComputeRows, timing: TimingModel) -> list[Command]:
     """Majority fragment used as OR: a participant row must hold all-ones."""
-    return _majority(rows, timing)
+    return list(_majority(rows, timing))

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -192,6 +193,32 @@ def test_bench_writes_report(kmer_db, tmp_path, capsys):
     assert payload["throughput_kmers_per_sec"] > 0
     assert payload["batch"]["assign_ns"] > 0
     assert payload["per_compare"]["counts"]["ACT"] > 0
+
+
+def test_bench_counts_kmers_per_subarray(tmp_path):
+    """On a multi-shard database one compare pass covers one shard's share."""
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("cols_per_subarray = 64\n")
+    rng = random.Random(3)
+    ref = tmp_path / "ref.txt"
+    ref.write_text("".join(f">t{i}\n" + "".join(rng.choice("ACGT")
+                                                for _ in range(250)) + "\n"
+                           for i in range(2)))
+    img = tmp_path / "wide.img"
+    assert run_cli("build-db", "--reference", str(ref), "--k", "8",
+                   "--config", str(cfg), "--out", str(img)) == 0
+    manifest = json.loads((tmp_path / "wide.img.manifest.json").read_text())
+    assert manifest["subarrays"] > 1
+    report_path = tmp_path / "report.json"
+    assert run_cli("bench", "--db", str(img), "--config", str(cfg),
+                   "--seed", "1", "--report", str(report_path)) == 0
+    payload = json.loads(report_path.read_text())
+    kmers = sum(g["kmers"] for g in manifest["groups"])
+    per_subarray = round(kmers / manifest["subarrays"])
+    latency_s = payload["per_compare"]["latency_ns"] * 1e-9
+    assert payload["throughput_kmers_per_sec"] == pytest.approx(
+        per_subarray * 16 * 8 / latency_s)
+    assert f"{per_subarray} items compared per subarray pass" in payload["assumptions"]
 
 
 def test_bench_word_db(word_db, capsys):

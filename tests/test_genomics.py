@@ -88,6 +88,34 @@ def test_ingest_disjoint_groups():
     assert a.start + a.columns <= b.start or b.start + b.columns <= a.start
 
 
+def _scan_group(layout, column):
+    for g in layout.groups:
+        if g.start <= column < g.start + g.columns:
+            return g
+    return None
+
+
+@given(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+@settings(max_examples=30)
+def test_group_lookup_matches_linear_scan(sizes):
+    """Bisect lookup equals a scan at every group edge and past the end."""
+    rng = np.random.default_rng(len(sizes))
+    records = [(f"t{i}", "".join(rng.choice(list("ACGT"), n + 3)))
+               for i, n in enumerate(sizes)]
+    layout = ingest(records, 4, DEV).layout
+    edges = {-1, layout.total_columns, layout.total_columns + 1}
+    for g in layout.groups:
+        edges |= {g.start - 1, g.start, g.start + g.columns - 1,
+                  g.start + g.columns}
+    for col in sorted(edges):
+        assert layout.group_of_column(col) == _scan_group(layout, col)
+        for stratum in range(layout.strata):
+            g = _scan_group(layout, col)
+            expect = (g is not None and
+                      stratum * g.columns + (col - g.start) < g.kmers)
+            assert layout.occupied(stratum, col) == expect
+
+
 def test_ingest_deduplicates_per_taxon():
     db = ingest([("a", "AAAA")], 2, DEV)  # three windows, one distinct kmer
     assert db.layout.groups[0].kmers == 1

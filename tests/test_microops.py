@@ -73,6 +73,16 @@ def test_cpy_rejects_self_copy():
         cpy(3, 3, T)
 
 
+def test_fragments_are_fresh_lists():
+    """Callers extend what they get back; that must not reach later calls."""
+    comp, _ = allocate_reserved_rows(16)
+    for build in (lambda: cpy(2, 5, T), lambda: and3(comp, T),
+                  lambda: or3(comp, T)):
+        first = build()
+        first += first
+        assert len(build()) == 4 and build() is not build()
+
+
 def test_cpy_from_constant_row_gives_all_ones():
     sub, comp, _ = loaded()
     sub.write_row(comp.c1, np.ones(8, dtype=np.uint8))
