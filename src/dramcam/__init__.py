@@ -7,13 +7,12 @@ from .core import (BitlineLevel, BitlinePhase, BitlineState, CoverageReport,
                    MicroOp, MicroOpDecision, RefreshTracker, Subarray,
                    detect_micro_op, refresh_coverage)
 from .cam import (CompiledCompare, LayoutMap, MatchVector, Mode, Polarity,
-                  WordDb, compile_fold, compile_fold_init,
-                  compile_hd1_compare, compile_nand_compare,
+                  WordDb, compile_hd1_compare, compile_nand_compare,
                   compile_nor_compare, decode_column, encode_word,
                   load_word_db, run_compare, save_word_db, store)
 from .errors import (AccountingFault, AddressFault, ConfigError, DramCamError,
-                     EmptyDbFault, EncodingFault, LayoutFault, NoOpFault,
-                     ProtocolFault, StalePresetWarning, TimingFault,
+                     EmptyDbFault, EncodingFault, IOFault, LayoutFault,
+                     NoOpFault, ProtocolFault, StalePresetWarning, TimingFault,
                      TraceFormatError)
 from .genomics import (BatchSummary, ClassificationResult, GenomeLayout,
                        KmerDatabase, TaxonGroup, classify, classify_batch,

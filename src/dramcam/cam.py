@@ -24,7 +24,7 @@ from .config import TimingModel
 from .core import Subarray
 from .errors import EncodingFault, LayoutFault, TraceFormatError
 from .microops import (ComputeRows, TempRows, allocate_reserved_rows, and3,
-                       cpy, or3)
+                       cpy, or3, reserved_base)
 from .trace import Command, act, pre
 
 
@@ -61,14 +61,12 @@ class LayoutMap:
     def for_subarray(cls, rows: int, cols: int, word_length: int) -> "LayoutMap":
         if word_length < 1:
             raise LayoutFault("word length must be >= 1")
-        compute, temps = allocate_reserved_rows(rows)
-        reserved_base = min(compute.all_rows() + (temps.xnor, temps.exact,
-                                                  temps.tolerant))
-        if 2 * word_length > reserved_base:
+        base = reserved_base(rows)
+        if 2 * word_length > base:
             raise LayoutFault(
                 f"{word_length}-bit words need {2 * word_length} data rows but "
-                f"only {reserved_base} sit below the reserved block")
-        return cls(word_length, cols, rows, compute, temps)
+                f"only {base} sit below the reserved block")
+        return cls(word_length, cols, rows, *allocate_reserved_rows(rows))
 
     def data_row(self, bit_index: int, bit: int) -> int:
         """Row opened to compare bit `bit_index` against query bit `bit`."""
@@ -129,16 +127,24 @@ def store(sub: Subarray, layout: LayoutMap, columns: Sequence[np.ndarray]) -> No
     if len(columns) > layout.column_capacity:
         raise LayoutFault(
             f"{len(columns)} words exceed the {layout.column_capacity}-column capacity")
-    grid = np.zeros((2 * layout.word_length, sub.cols), dtype=np.uint8)
+    grid = np.zeros((2 * layout.word_length, len(columns)), dtype=np.uint8)
     for c, col_cells in enumerate(columns):
         if col_cells.shape != (2 * layout.word_length,):
             raise EncodingFault(
                 f"column {c} has {col_cells.shape} cells, expected {2 * layout.word_length}")
         grid[:, c] = col_cells
-    for row in layout.data_rows():
-        sub.write_row(row, grid[row])
-    sub.write_row(layout.compute.c0, np.zeros(sub.cols, dtype=np.uint8))
-    sub.write_row(layout.compute.c1, np.ones(sub.cols, dtype=np.uint8))
+    store_grid(sub, grid, layout.compute)
+
+
+def store_grid(sub: Subarray, grid: np.ndarray, compute: ComputeRows) -> None:
+    """Write `grid` into rows 0.. of `sub`, zero-padded to the row width,
+    then initialize the c0/c1 constant rows."""
+    bits = np.zeros(sub.cols, dtype=np.uint8)  # write_row copies it
+    for row, data in enumerate(grid):
+        bits[:len(data)] = data
+        sub.write_row(row, bits)
+    sub.write_row(compute.c0, np.zeros(sub.cols, dtype=np.uint8))
+    sub.write_row(compute.c1, np.ones(sub.cols, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -163,18 +169,15 @@ class CompiledCompare:
 
     trace: list[Command] = field(repr=False)
     polarity: Polarity
-    result_row: int
-    kind: str
-    word_length: int
 
 
 def _probe_rows(layout: LayoutMap, query: str, invert: bool,
-                ignore_positions: Iterable[int] | None) -> list[int]:
+                ignore: Iterable[int] | None) -> list[int]:
     bits = _symbols(query)
     if len(bits) != layout.word_length:
         raise EncodingFault(
             f"query length {len(bits)} != word length {layout.word_length}")
-    skip = set(ignore_positions or ())
+    skip = set(ignore or ())
     rows = []
     for j, sym in enumerate(bits):
         if j in skip:
@@ -184,47 +187,6 @@ def _probe_rows(layout: LayoutMap, query: str, invert: bool,
         bit = int(sym) ^ int(invert)
         rows.append(layout.data_row(j, bit))
     return rows
-
-
-def serial_accumulate(probe_rows: Sequence[int], compute: ComputeRows,
-                      timing: TimingModel, fold_or: bool = False) -> list[Command]:
-    """Probe each row in turn, folding the reads into r2 with AND (or OR).
-
-    r2 is initialized from the fold identity; each step stages the probed
-    row in r3, re-copies the preset into r1, and majority-merges.
-    """
-    init = compute.c0 if fold_or else compute.c1
-    preset = compute.c1 if fold_or else compute.c0
-    merge = or3 if fold_or else and3
-    cmds = cpy(compute.r2, init, timing)
-    # everything after the staging copy is the same for every probe
-    step = (cpy(compute.r1, preset, timing) + merge(compute, timing)
-            if probe_rows else [])
-    for row in probe_rows:
-        cmds += cpy(compute.r3, row, timing)
-        cmds += step
-    cmds += [pre(timing.t_rp), act(compute.r2, timing.t_ras)]
-    return cmds
-
-
-def serial_hd1(probe_rows: Sequence[int], compute: ComputeRows, temps: TempRows,
-               timing: TimingModel) -> list[Command]:
-    """Distance-1 tolerant accumulation over per-position match reads.
-
-    Keeps two running rows: `exact` (all positions so far matched) and
-    `tolerant` (at most one mismatch so far), updated per position as
-        tolerant' = (tolerant AND x) OR exact
-        exact'    = exact AND x
-    with x staged in the xnor temp row. The final verdict is `tolerant`.
-    """
-    stage, exact, tolerant = temps.xnor, temps.exact, temps.tolerant
-    cmds = cpy(exact, compute.c1, timing) + cpy(tolerant, compute.c1, timing)
-    step = _hd1_step(compute, temps, timing) if probe_rows else []
-    for row in probe_rows:
-        cmds += cpy(stage, row, timing)
-        cmds += step
-    cmds += [pre(timing.t_rp), act(tolerant, timing.t_ras)]
-    return cmds
 
 
 def _hd1_step(compute: ComputeRows, temps: TempRows,
@@ -252,6 +214,45 @@ def _hd1_step(compute: ComputeRows, temps: TempRows,
     return cmds
 
 
+def compile_program(probe_rows: Sequence[int], layout, timing: TimingModel,
+                    kind: str) -> CompiledCompare:
+    """The bit-serial compare program of `kind` over rows probed in turn.
+
+    Each probed row is copied into a staging row, then folded into the
+    running result by a step that is the same for every probe. nand and
+    nor stage in r3 and fold into r2 through a majority with r1 preset to
+    c0 (AND, match reads 1) or c1 (OR, match reads 0). hd1 stages in
+    `xnor` and keeps two running rows, `exact` (all positions so far
+    matched) and `tolerant` (at most one mismatch so far), updated as
+        tolerant' = (tolerant AND x) OR exact
+        exact'    = exact AND x
+    and reads `tolerant` (match reads 1). `layout` is any layout with
+    `compute` and `temps` rows.
+    """
+    compute, temps = layout.compute, layout.temps
+    if kind == "hd1":
+        cmds = (cpy(temps.exact, compute.c1, timing)
+                + cpy(temps.tolerant, compute.c1, timing))
+        stage, result = temps.xnor, temps.tolerant
+        step = _hd1_step(compute, temps, timing) if probe_rows else []
+    elif kind in ("nand", "nor"):
+        # r2 starts at the fold identity; r1 gets the opposite constant
+        init, preset, merge = ((compute.c0, compute.c1, or3) if kind == "nor"
+                               else (compute.c1, compute.c0, and3))
+        cmds = cpy(compute.r2, init, timing)
+        stage, result = compute.r3, compute.r2
+        step = (cpy(compute.r1, preset, timing) + merge(compute, timing)
+                if probe_rows else [])
+    else:
+        raise EncodingFault(f"unknown compare kind {kind!r}")
+    for row in probe_rows:
+        cmds += cpy(stage, row, timing)
+        cmds += step
+    cmds += [pre(timing.t_rp), act(result, timing.t_ras)]
+    return CompiledCompare(cmds, Polarity.MATCH_IS_0 if kind == "nor"
+                           else Polarity.MATCH_IS_1)
+
+
 def compile_nand_compare(query: str | Sequence[int], layout: LayoutMap,
                          timing: TimingModel,
                          ignore_positions: Iterable[int] | None = None,
@@ -261,11 +262,8 @@ def compile_nand_compare(query: str | Sequence[int], layout: LayoutMap,
     `ignore_positions` skips those bit iterations, which leaves the running
     AND untouched — the query-side counterpart of a stored don't-care.
     """
-    rows = _probe_rows(layout, query, invert=False,
-                       ignore_positions=ignore_positions)
-    trace = serial_accumulate(rows, layout.compute, timing, fold_or=False)
-    return CompiledCompare(trace, Polarity.MATCH_IS_1, layout.compute.r2,
-                           "nand", layout.word_length)
+    rows = _probe_rows(layout, query, invert=False, ignore=ignore_positions)
+    return compile_program(rows, layout, timing, "nand")
 
 
 def compile_nor_compare(query: str | Sequence[int], layout: LayoutMap,
@@ -277,20 +275,15 @@ def compile_nor_compare(query: str | Sequence[int], layout: LayoutMap,
     Each query bit opens the row its complement would open in the exact
     program, so the read is the per-bit inequality, OR-folded into r2.
     """
-    rows = _probe_rows(layout, query, invert=True,
-                       ignore_positions=ignore_positions)
-    trace = serial_accumulate(rows, layout.compute, timing, fold_or=True)
-    return CompiledCompare(trace, Polarity.MATCH_IS_0, layout.compute.r2,
-                           "nor", layout.word_length)
+    rows = _probe_rows(layout, query, invert=True, ignore=ignore_positions)
+    return compile_program(rows, layout, timing, "nor")
 
 
 def compile_hd1_compare(query: str | Sequence[int], layout: LayoutMap,
                         timing: TimingModel) -> CompiledCompare:
     """Tolerant program; verdict 1 marks columns within one mismatching bit."""
-    rows = _probe_rows(layout, query, invert=False, ignore_positions=None)
-    trace = serial_hd1(rows, layout.compute, layout.temps, timing)
-    return CompiledCompare(trace, Polarity.MATCH_IS_1, layout.temps.tolerant,
-                           "hd1", layout.word_length)
+    rows = _probe_rows(layout, query, invert=False, ignore=None)
+    return compile_program(rows, layout, timing, "hd1")
 
 
 def run_compare(sub: Subarray, compiled: CompiledCompare,
@@ -310,32 +303,6 @@ def run_compare(sub: Subarray, compiled: CompiledCompare,
     return MatchVector(buf, compiled.polarity)
 
 
-def compile_fold_init(layout: LayoutMap, timing: TimingModel,
-                      fold_or: bool = True) -> list[Command]:
-    """Reset the accumulator row to the fold identity (0 for OR, 1 for AND)."""
-    const = layout.compute.c0 if fold_or else layout.compute.c1
-    return cpy(layout.temps.exact, const, timing)
-
-
-def compile_fold(layout: LayoutMap, timing: TimingModel,
-                 fold_or: bool = True) -> list[Command]:
-    """Merge the fresh r2 verdict into the accumulator row, then re-read it.
-
-    Applies after an exact or mismatch compare (result in r2). The
-    accumulator reuses the `exact` temp row, so folding cannot be combined
-    with the distance-1 program in one pass.
-    """
-    compute, acc = layout.compute, layout.temps.exact
-    preset = compute.c1 if fold_or else compute.c0
-    merge = or3 if fold_or else and3
-    cmds = cpy(compute.r3, acc, timing)
-    cmds += cpy(compute.r1, preset, timing)
-    cmds += merge(compute, timing)
-    cmds += cpy(acc, compute.r2, timing)
-    cmds += [pre(timing.t_rp), act(acc, timing.t_ras)]
-    return cmds
-
-
 def _symbols(word: str | Sequence[int]) -> str:
     if isinstance(word, str):
         return word.strip().upper()
@@ -345,6 +312,11 @@ def _symbols(word: str | Sequence[int]) -> str:
 # -- database images ---------------------------------------------------------
 
 _MAGIC = b"DCDB1\n"
+# keys the header of each image kind must carry
+_HEADER_KEYS = {
+    "words": ("m", "count", "mode"),
+    "kmers": ("k", "strata", "rows_per_subarray", "columns", "groups"),
+}
 
 
 def write_image(path: str | Path, header: dict, payload: bytes) -> None:
@@ -352,7 +324,9 @@ def write_image(path: str | Path, header: dict, payload: bytes) -> None:
     Path(path).write_bytes(_MAGIC + body + b"\n" + payload)
 
 
-def read_image(path: str | Path) -> tuple[dict, bytes]:
+def read_image(path: str | Path, kind: str | None = None) -> tuple[dict, bytes]:
+    """Header and payload of an image; with `kind`, the header must be of
+    that kind, carry its keys and, for words, name a known mode."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         raise EncodingFault(f"{path}: not a database image")
@@ -361,6 +335,17 @@ def read_image(path: str | Path) -> tuple[dict, bytes]:
         header = json.loads(header_line)
     except json.JSONDecodeError as exc:
         raise EncodingFault(f"{path}: bad image header: {exc}") from None
+    if not isinstance(header, dict):
+        raise EncodingFault(f"{path}: image header is not a JSON object")
+    if kind is None:
+        return header, payload
+    if header.get("kind") != kind:
+        raise EncodingFault(f"{path}: image holds {header.get('kind')!r}, not {kind}")
+    missing = [key for key in _HEADER_KEYS[kind] if key not in header]
+    if missing:
+        raise EncodingFault(f"{path}: image header lacks {', '.join(missing)}")
+    if kind == "words" and header["mode"] not in {m.value for m in Mode}:
+        raise EncodingFault(f"{path}: unknown encoding mode {header['mode']!r}")
     return header, payload
 
 
@@ -393,9 +378,7 @@ def save_word_db(path: str | Path, db: WordDb) -> None:
 
 
 def load_word_db(path: str | Path) -> WordDb:
-    header, payload = read_image(path)
-    if header.get("kind") != "words":
-        raise EncodingFault(f"{path}: image holds {header.get('kind')!r}, not words")
+    header, payload = read_image(path, "words")
     m, count = header["m"], header["count"]
     stride = -(-2 * m // 8)
     if len(payload) != stride * count:

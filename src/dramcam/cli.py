@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from . import cam, genomics, metrics
-from .config import SystemConfig, load_config
+from .config import DeviceConfig, SystemConfig, load_config
 from .core import Subarray
-from .errors import ConfigError, DramCamError, EncodingFault
+from .errors import ConfigError, DramCamError, EncodingFault, IOFault
 from .trace import format_trace
 
 
@@ -70,8 +70,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DramCamError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 1
+        fault = exc
+    except OSError as exc:
+        fault = IOFault(str(exc))
+    print(f"error: {fault.code}: {fault}", file=sys.stderr)
+    return 1
 
 
 def _system(args) -> SystemConfig:
@@ -126,70 +129,16 @@ def cmd_build_db(args) -> int:
 
 # -- search --------------------------------------------------------------------
 
-_WORD_MODE_NEEDS = {"nand": cam.Mode.NAND, "tcam": cam.Mode.NAND,
-                    "hd1": cam.Mode.NAND, "nor": cam.Mode.NOR}
-
-
 def cmd_search(args) -> int:
-    cfg = _system(args)
-    kind = cam.read_image_header(args.db).get("kind")
-    if kind == "words":
-        lines, traces = _search_words(args, cfg)
-    elif kind == "kmers":
-        lines, traces = _search_kmers(args, cfg)
-    else:
-        raise EncodingFault(f"{args.db}: unknown database kind {kind!r}")
+    image = _open_image(args.db, _system(args))
+    image.check_mode(args.mode)
+    lines, traces = _compare_loop(image, image.read_queries(args.queries),
+                                  args.mode)
     _write_out(args.out, "".join(line + "\n" for line in lines))
     if args.emit_trace:
-        Path(args.emit_trace).write_text(format_trace(traces))
+        Path(args.emit_trace).write_text(
+            format_trace(cmd for trace in traces for cmd in trace))
     return 0
-
-
-def _search_words(args, cfg: SystemConfig):
-    db = cam.load_word_db(args.db)
-    need = _WORD_MODE_NEEDS[args.mode]
-    if db.mode is not need:
-        raise EncodingFault(
-            f"mode {args.mode} needs a {need.value}-encoded database, "
-            f"but {args.db} is encoded for {db.mode.value}")
-    device = cfg.device
-    layout = cam.LayoutMap.for_subarray(device.rows_per_subarray,
-                                        device.cols_per_subarray,
-                                        db.word_length)
-    sub = Subarray.from_device(device)
-    cam.store(sub, layout, db.columns)
-    queries = _read_lines(args.queries)
-    lines, traces = [], []
-    for q in queries:
-        if args.mode == "nor":
-            compiled = cam.compile_nor_compare(q, layout, device.timing)
-        elif args.mode == "hd1":
-            compiled = cam.compile_hd1_compare(q, layout, device.timing)
-        else:
-            compiled = cam.compile_nand_compare(q, layout, device.timing)
-        vec = cam.run_compare(sub, compiled, columns=db.count)
-        lines.append(vec.to_line())
-        traces.extend(compiled.trace)
-    return lines, traces
-
-
-def _search_kmers(args, cfg: SystemConfig):
-    if args.mode in ("nor", "tcam"):
-        raise EncodingFault(f"mode {args.mode} is not defined for k-mer databases")
-    db = genomics.load_kmer_db(args.db, cfg.device)
-    queries = _kmer_queries(args.queries, db.k)
-    shards = db.build_shards()
-    compare_kind = "hd1" if args.mode == "hd1" else "exact"
-    lines, traces = [], []
-    for q in queries:
-        result, _ = genomics.classify(db, shards, q, compare_kind)
-        verdicts = np.zeros(db.layout.total_columns, dtype=np.uint8)
-        verdicts[list(result.columns)] = 1
-        lines.append(cam.MatchVector(verdicts, cam.Polarity.MATCH_IS_1).to_line())
-        for stratum in range(db.layout.strata):
-            traces.extend(genomics.compile_kmer_compare(
-                q, db.layout, db.device, stratum, compare_kind).trace)
-    return lines, traces
 
 
 # -- classify --------------------------------------------------------------------
@@ -200,9 +149,8 @@ def cmd_classify(args) -> int:
         raise EncodingFault("classification needs a k-mer database image")
     db = genomics.load_kmer_db(args.db, cfg.device)
     queries = _kmer_queries(args.queries, db.k)
-    kind = "hd1" if args.mode == "hd1" else "exact"
-    results, summary = genomics.classify_batch(db, queries, kind,
-                                               parallel=args.parallel)
+    results, summary = genomics.classify_batch(
+        db, queries, _KMER_KINDS[args.mode], parallel=args.parallel)
     _write_out(args.out, genomics.format_results(results, summary))
     return 0
 
@@ -211,58 +159,17 @@ def cmd_classify(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _system(args)
-    header = cam.read_image_header(args.db)
-    rng = random.Random(args.seed)
-    if header.get("kind") == "kmers":
-        db = genomics.load_kmer_db(args.db, cfg.device)
-        queries = (_kmer_queries(args.queries, db.k) if args.queries
-                   else _sample_kmers(db, rng, 64))
-        kind = "hd1" if args.mode == "hd1" else "exact"
-        shards = db.build_shards()
-        all_cmds, first_cmds = [], None
-        for q in queries:
-            per_query = []
-            for stratum in range(db.layout.strata):
-                compiled = genomics.compile_kmer_compare(q, db.layout,
-                                                         db.device, stratum, kind)
-                for shard in shards:
-                    cam.run_compare(shard.subarray, compiled,
-                                    columns=shard.columns)
-                per_query.extend(compiled.trace)
-            all_cmds.extend(per_query)
-            first_cmds = first_cmds or per_query
-        # shards run the compare side by side, so one pass covers one
-        # subarray's share of the k-mers, not the whole database
-        items = round(sum(g.kmers for g in db.layout.groups) / len(shards))
-    else:
-        wdb = cam.load_word_db(args.db)
-        device = cfg.device
-        layout = cam.LayoutMap.for_subarray(device.rows_per_subarray,
-                                            device.cols_per_subarray,
-                                            wdb.word_length)
-        sub = Subarray.from_device(device)
-        cam.store(sub, layout, wdb.columns)
-        if args.queries:
-            queries = _read_lines(args.queries)
-        else:
-            picks = [rng.randrange(wdb.count) for _ in range(64)]
-            queries = [cam.decode_column(wdb.columns[i], wdb.mode).replace("X", "0")
-                       for i in picks]
-        compile_fn = (cam.compile_hd1_compare if args.mode == "hd1"
-                      else cam.compile_nand_compare)
-        all_cmds, first_cmds = [], None
-        for q in queries:
-            compiled = compile_fn(q, layout, device.timing)
-            cam.run_compare(sub, compiled, columns=wdb.count)
-            all_cmds.extend(compiled.trace)
-            first_cmds = first_cmds or compiled.trace
-        items = wdb.count
+    image = _open_image(args.db, cfg)
+    queries = (image.read_queries(args.queries) if args.queries
+               else image.sample(random.Random(args.seed), 64))
+    _, traces = _compare_loop(image, queries, args.mode)
 
     timing, energy = cfg.device.timing, cfg.energy
-    per_compare = metrics.account(first_cmds, timing, energy)
-    batch = metrics.account(all_cmds, timing, energy)
+    per_compare = metrics.account(traces[0], timing, energy)
+    batch = metrics.account([cmd for trace in traces for cmd in trace],
+                            timing, energy)
     batch = metrics.add_host_assignment(batch, len(queries), cfg.host_assign_ns)
-    estimate = metrics.throughput_estimate(cfg.device, per_compare, items)
+    estimate = metrics.throughput_estimate(cfg.device, per_compare, image.items)
 
     print(f"benchmarked {len(queries)} queries ({args.mode} mode)")
     print(f"per-compare: {per_compare.latency_cycles} cycles = "
@@ -282,18 +189,114 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _sample_kmers(db: genomics.KmerDatabase, rng: random.Random,
-                  count: int) -> list[str]:
-    slots = [(s, c) for g in db.layout.groups
-             for s in range(db.layout.strata)
-             for c in range(g.start, g.start + g.columns)
-             if db.layout.occupied(s, c)]
-    if not slots:
-        raise EncodingFault("database holds no k-mers to sample")
-    picks = [slots[rng.randrange(len(slots))] for _ in range(count)]
-    span = 4 * db.k
-    return [genomics.decode_kmer_onehot(
-        db.column_cells[s * span:(s + 1) * span, c]) for s, c in picks]
+# -- the compare loop search and bench share -----------------------------------
+
+# word --mode -> (encoding the image must hold, compare program)
+_WORD_MODES = {"nand": (cam.Mode.NAND, cam.compile_nand_compare),
+               "tcam": (cam.Mode.NAND, cam.compile_nand_compare),
+               "hd1": (cam.Mode.NAND, cam.compile_hd1_compare),
+               "nor": (cam.Mode.NOR, cam.compile_nor_compare)}
+# k-mer --mode -> classify kind
+_KMER_KINDS = {"nand": "exact", "hd1": "hd1"}
+
+
+def _open_image(path: str, cfg: SystemConfig):
+    """Load a database image into subarrays, ready for `_compare_loop`."""
+    kind = cam.read_image_header(path).get("kind")
+    if kind == "words":
+        return _WordImage(path, cfg.device)
+    if kind == "kmers":
+        return _KmerImage(path, cfg.device)
+    raise EncodingFault(f"{path}: unknown database kind {kind!r}")
+
+
+def _compare_loop(image, queries: list[str], mode: str):
+    """Each query's verdict line and the commands it ran, in query order."""
+    if not queries:
+        raise EncodingFault("no queries to compare")
+    lines, traces = [], []
+    for q in queries:
+        line, trace = image.compare(q, mode)
+        lines.append(line)
+        traces.append(trace)
+    return lines, traces
+
+
+class _WordImage:
+    """A word image stored in one subarray."""
+
+    def __init__(self, path: str, device: DeviceConfig):
+        self.path = path
+        self.db = cam.load_word_db(path)
+        self.layout = cam.LayoutMap.for_subarray(device.rows_per_subarray,
+                                                 device.cols_per_subarray,
+                                                 self.db.word_length)
+        self.sub = Subarray.from_device(device)
+        cam.store(self.sub, self.layout, self.db.columns)
+        self.timing = device.timing
+        self.items = self.db.count  # words one compare pass covers
+
+    def check_mode(self, mode: str) -> None:
+        need = _WORD_MODES[mode][0]
+        if self.db.mode is not need:
+            raise EncodingFault(
+                f"mode {mode} needs a {need.value}-encoded database, "
+                f"but {self.path} is encoded for {self.db.mode.value}")
+
+    def read_queries(self, path: str) -> list[str]:
+        return _read_lines(path)
+
+    def sample(self, rng: random.Random, count: int) -> list[str]:
+        picks = [rng.randrange(self.db.count) for _ in range(count)]
+        return [cam.decode_column(self.db.columns[i], self.db.mode).replace("X", "0")
+                for i in picks]
+
+    def compare(self, query: str, mode: str):
+        compiled = _WORD_MODES[mode][1](query, self.layout, self.timing)
+        vec = cam.run_compare(self.sub, compiled, columns=self.db.count)
+        return vec.to_line(), compiled.trace
+
+
+class _KmerImage:
+    """A k-mer image stored across its shards."""
+
+    def __init__(self, path: str, device: DeviceConfig):
+        self.db = genomics.load_kmer_db(path, device)
+        self.shards = self.db.build_shards()
+
+    @property
+    def items(self) -> int:
+        # shards run the compare side by side, so one pass covers one
+        # subarray's share of the k-mers, not the whole database
+        return round(sum(g.kmers for g in self.db.layout.groups) / len(self.shards))
+
+    def check_mode(self, mode: str) -> None:
+        if mode not in _KMER_KINDS:
+            raise EncodingFault(f"mode {mode} is not defined for k-mer databases")
+
+    def read_queries(self, path: str) -> list[str]:
+        return _kmer_queries(path, self.db.k)
+
+    def sample(self, rng: random.Random, count: int) -> list[str]:
+        layout = self.db.layout
+        slots = [(s, c) for g in layout.groups
+                 for s in range(layout.strata)
+                 for c in range(g.start, g.start + g.columns)
+                 if layout.occupied(s, c)]
+        if not slots:
+            raise EncodingFault("database holds no k-mers to sample")
+        picks = [slots[rng.randrange(len(slots))] for _ in range(count)]
+        span = 4 * self.db.k
+        return [genomics.decode_kmer_onehot(
+            self.db.column_cells[s * span:(s + 1) * span, c]) for s, c in picks]
+
+    def compare(self, query: str, mode: str):
+        result, traces = genomics.classify(self.db, self.shards, query,
+                                           _KMER_KINDS[mode])
+        verdicts = np.zeros(self.db.layout.total_columns, dtype=np.uint8)
+        verdicts[list(result.columns)] = 1
+        line = cam.MatchVector(verdicts, cam.Polarity.MATCH_IS_1).to_line()
+        return line, [cmd for trace in traces for cmd in trace]
 
 
 # -- input helpers ---------------------------------------------------------------

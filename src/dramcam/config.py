@@ -180,7 +180,6 @@ def parse_config_text(text: str) -> SystemConfig:
     system_kwargs = {}
     if "host_assign_ns" in values:
         system_kwargs["host_assign_ns"] = values.pop("host_assign_ns")
-    assert not values, f"unconsumed config keys: {sorted(values)}"
 
     device = DeviceConfig(timing=TimingModel(**timing_kwargs), **device_kwargs)
     return SystemConfig(device=device, energy=EnergyModel(**energy_kwargs),

@@ -258,8 +258,7 @@ class RefreshTracker:
     row says everything a per-cell grid would.
     """
 
-    def __init__(self, rows: int, cols: int, refresh_interval: int):
-        self.refresh_interval = refresh_interval
+    def __init__(self, rows: int, cols: int):
         self.cols = cols
         self.last_activation = np.full(rows, -1, dtype=np.int64)
 
@@ -294,8 +293,7 @@ class Subarray:
         self.open_rows: set[int] = set()
         self.phase = BitlinePhase.PRECHARGED
         self.clock = 0
-        self.tracker = RefreshTracker(rows, cols, self.timing.refresh_interval)
-        self._readable = False
+        self.tracker = RefreshTracker(rows, cols)
         self._recent: list[Command] = []  # last two commands, oldest first
         self._written_since_majority: set[int] = set()
 
@@ -320,7 +318,7 @@ class Subarray:
 
     def read_row_buffer(self) -> np.ndarray:
         """Latched sense-amplifier values; only valid while a row is open."""
-        if not self._readable:
+        if not self.open_rows:
             raise ProtocolFault("row buffer read with no resolved open row")
         return self.row_buffer.copy()
 
@@ -386,8 +384,7 @@ class Subarray:
                           else BitlinePhase.PRECHARGED)
         if len(acts):
             self.row_buffer = cells[low.rows[acts[-1]]].copy()
-        self._readable = bool(low.is_act[-1])
-        if not self._readable:
+        if not low.is_act[-1]:
             self.open_rows = set()
         elif low.ops and low.ops[-1][0] == len(trace) - 1 and len(low.ops[-1][1]) == 3:
             self.open_rows = set(low.ops[-1][1])
@@ -396,7 +393,6 @@ class Subarray:
 
     def _apply_pre(self, cmd: Command) -> None:
         self.open_rows = set()
-        self._readable = False
         if gap_flags(cmd.gap_after, self.timing)[3]:
             self.phase = BitlinePhase.PRECHARGED
         # A shorter gap interrupts the precharge: the amplifiers keep
@@ -424,7 +420,6 @@ class Subarray:
         # target cells latch the driven values.
         self.cells[target] = self.row_buffer
         self.open_rows = {target}
-        self._readable = True
         self.tracker.mark([target], self.clock)
         self._written_since_majority.add(target)
 
@@ -450,7 +445,6 @@ class Subarray:
         self.row_buffer = resolved
         self.open_rows = set(rows)
         self.phase = BitlinePhase.RESOLVED
-        self._readable = True
         self.tracker.mark(rows, self.clock)
 
     # -- inspection ----------------------------------------------------------

@@ -67,5 +67,11 @@ class ConfigError(DramCamError):
     code = "config-error"
 
 
+class IOFault(DramCamError):
+    """An input file cannot be read or an output file cannot be written."""
+
+    code = "io-fault"
+
+
 class StalePresetWarning(UserWarning):
     """Majority issued without re-copying any participant row since the last one."""

@@ -14,20 +14,21 @@ import logging
 from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cam import (CompiledCompare, Polarity, read_image, run_compare,
-                  serial_accumulate, serial_hd1, write_image)
+from .cam import (CompiledCompare, compile_program, read_image, run_compare,
+                  store_grid, write_image)
 from .config import DeviceConfig
 from .core import Subarray
 from .errors import EmptyDbFault, EncodingFault, LayoutFault
-from .microops import ComputeRows, TempRows, allocate_reserved_rows
-from .trace import trace_cycles
+from .microops import (ComputeRows, TempRows, allocate_reserved_rows,
+                       reserved_base)
+from .trace import Command, trace_cycles
 
 log = logging.getLogger(__name__)
 
@@ -179,12 +180,7 @@ class KmerDatabase:
         for start in range(0, self.layout.total_columns, width):
             chunk = self.column_cells[:, start:start + width]
             sub = Subarray.from_device(self.device)
-            for row in range(self.layout.data_rows):
-                bits = np.zeros(sub.cols, dtype=np.uint8)
-                bits[:chunk.shape[1]] = chunk[row]
-                sub.write_row(row, bits)
-            sub.write_row(self.layout.compute.c0, np.zeros(sub.cols, dtype=np.uint8))
-            sub.write_row(self.layout.compute.c1, np.ones(sub.cols, dtype=np.uint8))
+            store_grid(sub, chunk, self.layout.compute)
             shards.append(Shard(sub, start, chunk.shape[1]))
         return shards
 
@@ -211,14 +207,12 @@ def ingest(records: Iterable[tuple[str, str]], k: int,
     if not by_taxon:
         raise EmptyDbFault("no storable k-mers in the reference input")
 
-    compute, temps = allocate_reserved_rows(device.rows_per_subarray)
-    reserved_base = min(compute.all_rows() + (temps.xnor, temps.exact,
-                                              temps.tolerant))
-    strata = reserved_base // (4 * k)
+    base = reserved_base(device.rows_per_subarray)
+    strata = base // (4 * k)
     if strata < 1:
         raise LayoutFault(
             f"k={k} needs {4 * k} data rows per stratum but only "
-            f"{reserved_base} sit below the reserved block")
+            f"{base} sit below the reserved block")
 
     groups, start = [], 0
     for taxon, kmers in by_taxon.items():
@@ -229,7 +223,8 @@ def ingest(records: Iterable[tuple[str, str]], k: int,
         raise LayoutFault(f"database needs {start} columns but the device "
                           f"provides {device.total_columns}")
 
-    layout = GenomeLayout(k, strata, device.rows_per_subarray, compute, temps,
+    layout = GenomeLayout(k, strata, device.rows_per_subarray,
+                          *allocate_reserved_rows(device.rows_per_subarray),
                           tuple(groups))
     cells = np.zeros((layout.data_rows, start), dtype=np.uint8)
     for group in groups:
@@ -270,37 +265,35 @@ class BatchSummary:
 
 def compile_kmer_compare(query: str, layout: GenomeLayout, device: DeviceConfig,
                          stratum: int, kind: str = "exact") -> CompiledCompare:
-    """One-activation-per-base compare against one stratum."""
+    """One-activation-per-base compare against one stratum.
+
+    `kind` "exact" runs the nand program, "hd1" the distance-1 one.
+    """
     query = query.strip().upper()
     if len(query) != layout.k:
         raise EncodingFault(f"query length {len(query)} != k={layout.k}")
     for j, base in enumerate(query):
         if base not in _BASE_OFFSET:
             raise EncodingFault(f"base {base!r} at position {j} is not A/C/G/T")
+    if kind not in ("exact", "hd1"):
+        raise EncodingFault(f"unknown compare kind {kind!r}")
     rows = [layout.hot_row(stratum, j, base) for j, base in enumerate(query)]
-    timing = device.timing
-    if kind == "exact":
-        trace = serial_accumulate(rows, layout.compute, timing, fold_or=False)
-        return CompiledCompare(trace, Polarity.MATCH_IS_1, layout.compute.r2,
-                               "kmer-exact", layout.k)
-    if kind == "hd1":
-        trace = serial_hd1(rows, layout.compute, layout.temps, timing)
-        return CompiledCompare(trace, Polarity.MATCH_IS_1, layout.temps.tolerant,
-                               "kmer-hd1", layout.k)
-    raise EncodingFault(f"unknown compare kind {kind!r}")
+    return compile_program(rows, layout, device.timing,
+                           "nand" if kind == "exact" else kind)
 
 
 def classify(db: KmerDatabase, shards: Sequence[Shard], query: str,
-             kind: str = "exact") -> tuple[ClassificationResult, int]:
-    """Search every stratum of every shard; returns the result and the
+             kind: str = "exact"
+             ) -> tuple[ClassificationResult, list[list[Command]]]:
+    """Search every stratum of every shard; returns the result and the trace
 
-    simulated cycle cost (strata run back to back; shards run in parallel,
+    each stratum pass ran (strata run back to back; shards run in parallel,
     so one stratum pass costs a single trace)."""
     columns: set[int] = set()
-    cycles = 0
+    traces = []
     for stratum in range(db.layout.strata):
         compiled = compile_kmer_compare(query, db.layout, db.device, stratum, kind)
-        cycles += trace_cycles(compiled.trace)
+        traces.append(compiled.trace)
         for shard in shards:
             vec = run_compare(shard.subarray, compiled, columns=shard.columns)
             for local in np.flatnonzero(vec.matches()):
@@ -310,7 +303,7 @@ def classify(db: KmerDatabase, shards: Sequence[Shard], query: str,
     taxa = sorted({db.layout.group_of_column(c).taxon for c in columns})
     result = ClassificationResult(query, kind, tuple(sorted(columns)),
                                   tuple(taxa))
-    return result, cycles
+    return result, traces
 
 
 def classify_batch(db: KmerDatabase, queries: Sequence[str], kind: str = "exact",
@@ -354,7 +347,11 @@ def _classify_chunk(job: tuple[KmerDatabase, list[str], str]
                     ) -> list[tuple[ClassificationResult, int]]:
     db, queries, kind = job
     shards = db.build_shards()
-    return [classify(db, shards, q, kind) for q in queries]
+    pairs = []
+    for q in queries:
+        result, traces = classify(db, shards, q, kind)
+        pairs.append((result, sum(map(trace_cycles, traces))))
+    return pairs
 
 
 def format_results(results: Sequence[ClassificationResult],
@@ -393,25 +390,21 @@ def save_kmer_db(path: str | Path, db: KmerDatabase) -> None:
 def load_kmer_db(path: str | Path, device: DeviceConfig | None = None
                  ) -> KmerDatabase:
     device = device or DeviceConfig()
-    header, payload = read_image(path)
-    if header.get("kind") != "kmers":
-        raise EncodingFault(f"{path}: image holds {header.get('kind')!r}, not kmers")
+    header, payload = read_image(path, "kmers")
     k, strata = header["k"], header["strata"]
     rows = header["rows_per_subarray"]
     if rows != device.rows_per_subarray:
-        device = DeviceConfig(
-            chips=device.chips, banks_per_chip=device.banks_per_chip,
-            subarrays_per_bank=device.subarrays_per_bank,
-            rows_per_subarray=rows, cols_per_subarray=device.cols_per_subarray,
-            timing=device.timing)
-    compute, temps = allocate_reserved_rows(rows)
+        device = replace(device, rows_per_subarray=rows)
     groups = tuple(TaxonGroup(g["taxon"], g["start"], g["columns"], g["kmers"])
                    for g in header["groups"])
-    layout = GenomeLayout(k, strata, rows, compute, temps, groups)
+    layout = GenomeLayout(k, strata, rows, *allocate_reserved_rows(rows), groups)
     n_cols = header["columns"]
     data_rows = layout.data_rows
-    packed = np.frombuffer(payload, dtype=np.uint8)
-    packed = packed.reshape(-(-data_rows // 8), n_cols)
+    stride = -(-data_rows // 8)
+    if len(payload) != stride * n_cols:
+        raise EncodingFault(f"{path}: payload is {len(payload)} bytes, "
+                            f"expected {stride * n_cols}")
+    packed = np.frombuffer(payload, dtype=np.uint8).reshape(stride, n_cols)
     cells = np.unpackbits(packed, axis=0, bitorder="little", count=data_rows)
     return KmerDatabase(k, layout, cells.astype(np.uint8), device)
 

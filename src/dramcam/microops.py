@@ -89,12 +89,18 @@ class TempRows:
     tolerant: int
 
 
-def allocate_reserved_rows(rows_per_subarray: int) -> tuple[ComputeRows, TempRows]:
-    """Reserve the top 4-aligned 8-row block for compute, constant and temp rows."""
+def reserved_base(rows_per_subarray: int) -> int:
+    """First row of the reserved block; every data row must sit below it."""
     base = (rows_per_subarray - 8) & ~0b11
     if base < 0:
         raise LayoutFault(
             f"{rows_per_subarray} rows cannot host the reserved 8-row block")
+    return base
+
+
+def allocate_reserved_rows(rows_per_subarray: int) -> tuple[ComputeRows, TempRows]:
+    """Reserve the top 4-aligned 8-row block for compute, constant and temp rows."""
+    base = reserved_base(rows_per_subarray)
     compute = ComputeRows(r1=base + _R1_LOW, r2=base + _R2_LOW, r3=base + _R3_LOW,
                           c0=base + 4, c1=base + 5)
     temps = TempRows(xnor=base + 3, exact=base + 6, tolerant=base + 7)

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dramcam import (DeviceConfig, EncodingFault, LayoutFault, LayoutMap,
                      Mode, Polarity, Subarray, TimingModel, TraceFormatError,
-                     WordDb, act, activated_rows, compile_fold,
-                     compile_fold_init, compile_hd1_compare,
+                     WordDb, act, activated_rows, compile_hd1_compare,
                      compile_nand_compare, compile_nor_compare, decode_column,
                      encode_word, load_word_db, pre, run_compare, save_word_db,
                      store)
@@ -346,36 +345,9 @@ def test_run_compare_preserves_data_rows():
 def test_empty_trace_faults():
     sub, layout = cam_with(["01"], 2)
     from dramcam.cam import CompiledCompare
-    empty = CompiledCompare([], Polarity.MATCH_IS_1, 0, "nand", 2)
+    empty = CompiledCompare([], Polarity.MATCH_IS_1)
     with pytest.raises(TraceFormatError):
         run_compare(sub, empty)
-
-
-# -- aggregation folding -------------------------------------------------------------------------
-
-
-def test_or_fold_accumulates_matches():
-    words = ["0101", "0011", "1100"]
-    sub, layout = cam_with(words, 4)
-    sub.execute(compile_fold_init(layout, T, fold_or=True))
-    acc = None
-    for q in ("0101", "1100"):
-        vec = run_compare(sub, compile_nand_compare(q, layout, T), columns=3)
-        acc = vec.verdicts if acc is None else acc | vec.verdicts
-        sub.execute(compile_fold(layout, T, fold_or=True))
-    folded = sub.read_row_buffer()[:3]
-    assert list(folded) == list(acc) == [1, 0, 1]
-
-
-def test_and_fold_accumulates_intersection():
-    words = ["0101", "0011"]
-    sub, layout = cam_with(words, 4)
-    sub.execute(compile_fold_init(layout, T, fold_or=False))
-    for q in ("0101", "0011"):
-        run_compare(sub, compile_nand_compare(q, layout, T), columns=2)
-        sub.execute(compile_fold(layout, T, fold_or=False))
-    # no column matched both queries
-    assert list(sub.read_row_buffer()[:2]) == [0, 0]
 
 
 # -- database image --------------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dramcam import parse_trace
+import dramcam
+from dramcam import classify_batch, load_config, load_kmer_db, parse_trace
+from dramcam.genomics import compile_kmer_compare
 from dramcam.cli import main
 
 
@@ -30,6 +34,40 @@ def kmer_db(tmp_path):
     assert run_cli("build-db", "--reference", str(ref), "--k", "4",
                    "--out", str(img)) == 0
     return img
+
+
+@pytest.fixture
+def wide_kmer_db(tmp_path):
+    """A k-mer image spread over several 64-column shards, and its config."""
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("cols_per_subarray = 64\n")
+    rng = random.Random(5)
+    ref = tmp_path / "wide.txt"
+    ref.write_text("".join(f">t{i}\n" + "".join(rng.choice("ACGT")
+                                                for _ in range(200)) + "\n"
+                           for i in range(2)))
+    img = tmp_path / "wide.img"
+    assert run_cli("build-db", "--reference", str(ref), "--k", "6",
+                   "--config", str(cfg), "--out", str(img)) == 0
+    return img, cfg
+
+
+def rewrite_header(img, **changes):
+    """Edit an image's JSON header in place; a value of None drops the key."""
+    magic, header, payload = img.read_bytes().split(b"\n", 2)
+    fields = json.loads(header)
+    for key, value in changes.items():
+        if value is None:
+            del fields[key]
+        else:
+            fields[key] = value
+    img.write_bytes(magic + b"\n" + json.dumps(fields).encode() + b"\n" + payload)
+
+
+def assert_one_fault_line(capsys, code, *argv):
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {code}: ") and err.count("\n") == 1
 
 
 def test_build_words_and_search(word_db, tmp_path, capsys):
@@ -247,9 +285,97 @@ def test_config_flag_changes_geometry(tmp_path, capsys):
 def test_module_entry_point(tmp_path):
     words = tmp_path / "w.txt"
     words.write_text("01\n10\n")
+    # the child imports the same package as the suite, installed or not
+    src = str(Path(dramcam.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dramcam", "build-db", "--words", str(words),
          "--out", str(tmp_path / "w.img")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "stored 2 words" in proc.stdout
+
+
+def test_truncated_kmer_image_faults(kmer_db, tmp_path, capsys):
+    kmer_db.write_bytes(kmer_db.read_bytes()[:-1])
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    assert_one_fault_line(capsys, "encoding-fault", "classify", "--db",
+                          str(kmer_db), "--queries", str(q))
+
+
+def test_kmer_header_missing_k_faults(kmer_db, tmp_path, capsys):
+    rewrite_header(kmer_db, k=None)
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    assert_one_fault_line(capsys, "encoding-fault", "search", "--db",
+                          str(kmer_db), "--queries", str(q))
+
+
+def test_word_header_missing_m_faults(word_db, tmp_path, capsys):
+    rewrite_header(word_db, m=None)
+    q = tmp_path / "q.txt"
+    q.write_text("0101\n")
+    assert_one_fault_line(capsys, "encoding-fault", "search", "--db",
+                          str(word_db), "--queries", str(q))
+
+
+def test_word_image_unknown_mode_faults(word_db, capsys):
+    rewrite_header(word_db, mode="bogus")
+    assert_one_fault_line(capsys, "encoding-fault", "bench", "--db",
+                          str(word_db))
+
+
+@pytest.mark.parametrize("command,flag", [("search", "--db"),
+                                          ("classify", "--queries"),
+                                          ("build-db", "--reference")])
+def test_missing_input_file_is_io_fault(kmer_db, tmp_path, capsys,
+                                        command, flag):
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    args = {"search": ["--queries", str(q)],
+            "classify": ["--db", str(kmer_db)],
+            "build-db": ["--k", "4", "--out", str(tmp_path / "x.img")]}[command]
+    assert_one_fault_line(capsys, "io-fault", command, flag,
+                          str(tmp_path / "absent.txt"), *args)
+
+
+@pytest.mark.parametrize("db", ["word_db", "kmer_db"])
+def test_bench_empty_query_file_faults(db, request, tmp_path, capsys):
+    q = tmp_path / "empty.txt"
+    q.write_text("")
+    assert_one_fault_line(capsys, "encoding-fault", "bench", "--db",
+                          str(request.getfixturevalue(db)), "--queries", str(q))
+
+
+@pytest.mark.parametrize("mode,kind", [("nand", "exact"), ("hd1", "hd1")])
+def test_search_emits_each_stratum_trace_once(kmer_db, tmp_path, mode, kind):
+    queries = ["ACGT", "GGCC", "AAAA"]
+    q = tmp_path / "q.txt"
+    q.write_text("".join(f"{x}\n" for x in queries))
+    trace_path = tmp_path / "trace.txt"
+    assert run_cli("search", "--db", str(kmer_db), "--queries", str(q),
+                   "--mode", mode, "--out", str(tmp_path / "m.txt"),
+                   "--emit-trace", str(trace_path)) == 0
+    db = load_kmer_db(kmer_db)
+    assert db.layout.strata > 1
+    expected = [cmd for x in queries for s in range(db.layout.strata)
+                for cmd in compile_kmer_compare(x, db.layout, db.device, s,
+                                                kind).trace]
+    assert parse_trace(trace_path.read_text()) == expected
+
+
+def test_bench_latency_equals_classify_cycles(wide_kmer_db, tmp_path):
+    img, cfg = wide_kmer_db
+    db = load_kmer_db(img, load_config(cfg).device)
+    assert len(db.build_shards()) > 1
+    queries = ["ACGTAC", "GGGGGG", "TTACGA"]
+    q = tmp_path / "q.txt"
+    q.write_text("".join(f"{x}\n" for x in queries))
+    report_path = tmp_path / "report.json"
+    assert run_cli("bench", "--db", str(img), "--config", str(cfg),
+                   "--mode", "hd1", "--queries", str(q),
+                   "--report", str(report_path)) == 0
+    _, summary = classify_batch(db, queries, "hd1")
+    payload = json.loads(report_path.read_text())
+    assert payload["batch"]["latency_cycles"] == summary.simulated_cycles

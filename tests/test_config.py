@@ -2,6 +2,7 @@ import pytest
 
 from dramcam import (ConfigError, DeviceConfig, EnergyModel, GEOMETRY_NARROW,
                      SystemConfig, TimingModel, dump_config, parse_config_text)
+from dramcam.config import _BOOL_KEYS, _FLOAT_KEYS, _INT_KEYS
 
 
 def test_default_timing_matches_ddr3_1600():
@@ -73,3 +74,22 @@ def test_config_parse_comments_and_defaults():
 def test_config_parse_rejects_bad_lines(text):
     with pytest.raises(ConfigError):
         parse_config_text(text)
+
+
+@pytest.mark.parametrize("key", sorted(_INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS))
+def test_every_accepted_key_is_consumed(key):
+    """A key on its own lands in the parsed config, or a validator rejects it."""
+    defaults = dict(line.split(" = ")
+                    for line in dump_config(SystemConfig()).splitlines())
+    old = defaults[key]
+    if key in _BOOL_KEYS:
+        new = "false" if old == "true" else "true"
+    elif key in _FLOAT_KEYS:
+        new = str(2 * float(old))
+    else:
+        new = str(int(old) + 2)
+    try:
+        cfg = parse_config_text(f"{key} = {new}\n")
+    except ConfigError:
+        return  # the value reached a validator, so it was consumed
+    assert f"{key} = {new}\n" in dump_config(cfg)

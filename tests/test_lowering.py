@@ -66,7 +66,6 @@ def state(sub: Subarray) -> dict:
         "stamps": sub.tracker.last_activation.tolist(),
         "phase": sub.phase,
         "open_rows": sub.open_rows,
-        "readable": sub._readable,
         "recent": list(sub._recent),
         "written": sub._written_since_majority,
     }

@@ -9,6 +9,7 @@ from dramcam import (AddressFault, ComputeRows, LayoutFault, NoOpFault,
                      allocate_reserved_rows, and3, check_row_constraints, cpy,
                      majority_row_set, or3)
 from dramcam.core import MicroOp, detect_micro_op
+from dramcam.microops import reserved_base
 
 T = TimingModel()
 
@@ -29,6 +30,15 @@ def test_allocation_satisfies_constraints():
         rows = set(comp.all_rows()) | {temps.xnor, temps.exact, temps.tolerant}
         assert len(rows) == 8
         assert max(rows) < n
+
+
+def test_reserved_base_is_lowest_reserved_row():
+    for n in (8, 10, 16, 64, 128, 130, 160):
+        comp, temps = allocate_reserved_rows(n)
+        rows = comp.all_rows() + (temps.xnor, temps.exact, temps.tolerant)
+        assert reserved_base(n) == min(rows)
+    with pytest.raises(LayoutFault):
+        reserved_base(4)
 
 
 def test_allocation_rejects_tiny_subarray():
