@@ -13,10 +13,11 @@ result in temp rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -104,17 +105,14 @@ def decode_column(cells: np.ndarray | Sequence[int], mode: Mode = Mode.NAND) -> 
     cells = np.asarray(cells, dtype=np.uint8)
     if cells.ndim != 1 or len(cells) % 2:
         raise EncodingFault(f"cell image length {cells.shape} is not 2m")
+    symbols = {pair: sym for sym, pair in _BIT_CELLS.items()}
+    symbols[_DONT_CARE_CELLS[mode]] = "X"
     out = []
     for j in range(len(cells) // 2):
         pair = (int(cells[2 * j]), int(cells[2 * j + 1]))
-        if pair == (1, 0):
-            out.append("0")
-        elif pair == (0, 1):
-            out.append("1")
-        elif pair == _DONT_CARE_CELLS[mode]:
-            out.append("X")
-        else:
+        if pair not in symbols:
             raise EncodingFault(f"cell pair {pair} at bit {j} invalid for {mode.value}")
+        out.append(symbols[pair])
     return "".join(out)
 
 
@@ -312,45 +310,52 @@ def _symbols(word: str | Sequence[int]) -> str:
 # -- database images ---------------------------------------------------------
 
 _MAGIC = b"DCDB1\n"
-# keys the header of each image kind must carry
-_HEADER_KEYS = {
-    "words": ("m", "count", "mode"),
-    "kmers": ("k", "strata", "rows_per_subarray", "columns", "groups"),
-}
 
 
-def write_image(path: str | Path, header: dict, payload: bytes) -> None:
+def write_image(path: str | Path, header, payload: bytes) -> None:
+    """`header` is a header dataclass (see `read_image`) or a JSON object."""
+    if is_dataclass(header):
+        header = {"kind": header.kind, **vars(header)}
     body = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     Path(path).write_bytes(_MAGIC + body + b"\n" + payload)
 
 
-def read_image(path: str | Path, kind: str | None = None) -> tuple[dict, bytes]:
-    """Header and payload of an image; with `kind`, the header must be of
-    that kind, carry its keys and, for words, name a known mode."""
+def read_image(path: str | Path, header_type=None):
+    """Header and payload of an image. A `header_type` is the header
+    dataclass of one image kind: the header must be of its `kind` and hold
+    its fields, with their JSON types, and is returned as one."""
     raw = Path(path).read_bytes()
     if not raw.startswith(_MAGIC):
         raise EncodingFault(f"{path}: not a database image")
     header_line, _, payload = raw[len(_MAGIC):].partition(b"\n")
     try:
         header = json.loads(header_line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8
         raise EncodingFault(f"{path}: bad image header: {exc}") from None
     if not isinstance(header, dict):
         raise EncodingFault(f"{path}: image header is not a JSON object")
-    if kind is None:
+    if header_type is None:
         return header, payload
-    if header.get("kind") != kind:
-        raise EncodingFault(f"{path}: image holds {header.get('kind')!r}, not {kind}")
-    missing = [key for key in _HEADER_KEYS[kind] if key not in header]
-    if missing:
-        raise EncodingFault(f"{path}: image header lacks {', '.join(missing)}")
-    if kind == "words" and header["mode"] not in {m.value for m in Mode}:
-        raise EncodingFault(f"{path}: unknown encoding mode {header['mode']!r}")
-    return header, payload
+    if header.get("kind") != header_type.kind:
+        raise EncodingFault(f"{path}: image holds {header.get('kind')!r}, "
+                            f"not {header_type.kind}")
+    return from_json(header_type, header, f"{path}: image header"), payload
 
 
-def read_image_header(path: str | Path) -> dict:
-    return read_image(path)[0]
+_type_hints = lru_cache(maxsize=None)(get_type_hints)  # one evaluation per class
+
+
+def from_json(cls, obj, where: str):
+    """Dataclass `cls` from the JSON object `obj`, which must hold each of
+    its fields with a value of exactly the field's type (true is no int)."""
+    if not isinstance(obj, dict):
+        raise EncodingFault(f"{where} is not a JSON object")
+    types = _type_hints(cls)  # the fields, in order
+    for name, typ in types.items():
+        if type(obj.get(name)) is not typ:
+            got = type(obj[name]).__name__ if name in obj else "missing"
+            raise EncodingFault(f"{where}: {name} must be {typ.__name__}, not {got}")
+    return cls(**{name: obj[name] for name in types})
 
 
 @dataclass
@@ -366,26 +371,33 @@ class WordDb:
         return len(self.columns)
 
 
+@dataclass(frozen=True)
+class WordHeader:
+    """The header fields of a word image."""
+
+    kind = "words"
+    m: int
+    count: int
+    mode: str
+
+
 def save_word_db(path: str | Path, db: WordDb) -> None:
-    header = {"kind": "words", "m": db.word_length, "count": db.count,
-              "mode": db.mode.value}
-    stride = -(-2 * db.word_length // 8)
-    payload = bytearray()
-    for col in db.columns:
-        packed = np.packbits(col, bitorder="little").tobytes()
-        payload += packed.ljust(stride, b"\x00")
-    write_image(path, header, bytes(payload))
+    cells = np.array(db.columns, dtype=np.uint8).reshape(db.count, 2 * db.word_length)
+    payload = np.packbits(cells, axis=1, bitorder="little").tobytes()
+    write_image(path, WordHeader(db.word_length, db.count, db.mode.value), payload)
 
 
 def load_word_db(path: str | Path) -> WordDb:
-    header, payload = read_image(path, "words")
-    m, count = header["m"], header["count"]
+    header, payload = read_image(path, WordHeader)
+    m, count = header.m, header.count
+    if header.mode not in {mode.value for mode in Mode}:
+        raise EncodingFault(f"{path}: unknown encoding mode {header.mode!r}")
+    if m < 1 or count < 0:
+        raise EncodingFault(f"{path}: {count} words of {m} bits")
     stride = -(-2 * m // 8)
     if len(payload) != stride * count:
         raise EncodingFault(f"{path}: payload is {len(payload)} bytes, "
                             f"expected {stride * count}")
-    columns = []
-    for i in range(count):
-        chunk = np.frombuffer(payload[i * stride:(i + 1) * stride], dtype=np.uint8)
-        columns.append(np.unpackbits(chunk, bitorder="little", count=2 * m))
-    return WordDb(m, Mode(header["mode"]), columns)
+    packed = np.frombuffer(payload, dtype=np.uint8).reshape(count, stride)
+    cells = np.unpackbits(packed, axis=1, bitorder="little", count=2 * m)
+    return WordDb(m, Mode(header.mode), list(cells))

@@ -112,8 +112,7 @@ def cmd_build_db(args) -> int:
         print(f"manifest: {manifest_path}")
     else:
         mode = cam.Mode(args.mode)
-        words = [w.strip() for w in Path(args.words).read_text().splitlines()
-                 if w.strip() and not w.startswith("#")]
+        words = _read_lines(args.words)
         if not words:
             raise EncodingFault(f"{args.words}: no words to store")
         lengths = {len(w) for w in words}
@@ -145,8 +144,6 @@ def cmd_search(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _system(args)
-    if cam.read_image_header(args.db).get("kind") != "kmers":
-        raise EncodingFault("classification needs a k-mer database image")
     db = genomics.load_kmer_db(args.db, cfg.device)
     queries = _kmer_queries(args.queries, db.k)
     results, summary = genomics.classify_batch(
@@ -202,7 +199,7 @@ _KMER_KINDS = {"nand": "exact", "hd1": "hd1"}
 
 def _open_image(path: str, cfg: SystemConfig):
     """Load a database image into subarrays, ready for `_compare_loop`."""
-    kind = cam.read_image_header(path).get("kind")
+    kind = cam.read_image(path)[0].get("kind")
     if kind == "words":
         return _WordImage(path, cfg.device)
     if kind == "kmers":
@@ -283,8 +280,6 @@ class _KmerImage:
                  for s in range(layout.strata)
                  for c in range(g.start, g.start + g.columns)
                  if layout.occupied(s, c)]
-        if not slots:
-            raise EncodingFault("database holds no k-mers to sample")
         picks = [slots[rng.randrange(len(slots))] for _ in range(count)]
         span = 4 * self.db.k
         return [genomics.decode_kmer_onehot(

@@ -2,8 +2,8 @@
 
 Time inside the simulator is counted in abstract units of one DRAM clock
 cycle; ``TimingModel.clock_ns`` converts to nanoseconds for reporting. The
-defaults model a DDR3-1600 part (clock 1.25 ns, tRP = tRCD = 11 cycles =
-13.75 ns, tRAS = 28 cycles = 35 ns).
+defaults model a DDR3-1600 part (clock 1.25 ns, tRP = 11 cycles = 13.75 ns,
+tRAS = 28 cycles = 35 ns).
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 
@@ -29,13 +30,11 @@ class TimingModel:
     clock_ns: float = 1.25
     t_ras: int = 28
     t_rp: int = 11
-    t_rcd: int = 11
     t_copy_threshold: int = 6
     t_multi_threshold: int = 2
     copy_gap: int = 2
     multi_gap: int = 1
     strict: bool = True
-    refresh_interval: int = 51_200_000  # 64 ms at 1.25 ns/cycle
 
     def __post_init__(self) -> None:
         if not (0 < self.t_multi_threshold < self.t_copy_threshold < self.t_rp):
@@ -52,8 +51,8 @@ class TimingModel:
             raise ConfigError("multi_gap must classify below t_multi_threshold")
         if self.copy_gap >= self.t_copy_threshold:
             raise ConfigError("copy_gap must classify below t_copy_threshold")
-        if self.t_ras < self.t_rp or self.clock_ns <= 0 or self.refresh_interval <= 0:
-            raise ConfigError("t_ras must be >= t_rp; clock and refresh interval positive")
+        if self.t_ras < self.t_rp or self.clock_ns <= 0:
+            raise ConfigError("t_ras must be >= t_rp and clock_ns positive")
 
     def ns(self, cycles: int | float) -> float:
         return cycles * self.clock_ns
@@ -81,9 +80,9 @@ class EnergyModel:
     background_mw: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("act_pj", "pre_pj", "micro_op_pj", "background_mw"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+        for f in dataclasses.fields(self):
+            if getattr(self, f.name) < 0:
+                raise ConfigError(f"{f.name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -102,10 +101,9 @@ class DeviceConfig:
     timing: TimingModel = field(default_factory=TimingModel)
 
     def __post_init__(self) -> None:
-        for name in ("chips", "banks_per_chip", "subarrays_per_bank",
-                     "rows_per_subarray", "cols_per_subarray"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for f in dataclasses.fields(self):
+            if f.name != "timing" and getattr(self, f.name) < 1:
+                raise ConfigError(f"{f.name} must be >= 1")
         if self.rows_per_subarray % 2 != 0 or self.rows_per_subarray < 8:
             raise ConfigError("rows_per_subarray must be even and >= 8")
 
@@ -131,19 +129,45 @@ class SystemConfig:
             raise ConfigError("host_assign_ns must be nonnegative")
 
 
-_INT_KEYS = {
-    "chips", "banks_per_chip", "subarrays_per_bank", "rows_per_subarray",
-    "cols_per_subarray", "t_ras", "t_rp", "t_rcd", "t_copy_threshold",
-    "t_multi_threshold", "copy_gap", "multi_gap", "refresh_interval",
-}
-_FLOAT_KEYS = {"clock_ns", "act_pj", "pre_pj", "micro_op_pj", "background_mw",
-               "host_assign_ns"}
-_BOOL_KEYS = {"strict_timing"}
+# config key of a field whose own name would not say which part it sets
+_KEY_OF_FIELD = {"strict": "strict_timing"}
+
+
+def _fields(cls) -> list[tuple[str, str, type]]:
+    """(field name, config key, type) of each field of a config dataclass."""
+    types = get_type_hints(cls)
+    return [(f.name, _KEY_OF_FIELD.get(f.name, f.name), types[f.name])
+            for f in dataclasses.fields(cls)]
+
+
+def _leaves(obj):
+    """(key, type, value) of every scalar field under config dataclass `obj`,
+    in field order; nested config dataclasses are spelled out in place."""
+    for name, key, typ in _fields(type(obj)):
+        if dataclasses.is_dataclass(typ):
+            yield from _leaves(getattr(obj, name))
+        else:
+            yield key, typ, getattr(obj, name)
+
+
+def _build(cls, values: dict[str, object]):
+    """`cls` with every scalar field under it taken from `values` by key."""
+    return cls(**{name: _build(typ, values) if dataclasses.is_dataclass(typ)
+                  else values[key] for name, key, typ in _fields(cls)})
+
+
+# every settable key and its type, in the order dump_config writes them
+_KEYS = {key: typ for key, typ, _ in _leaves(SystemConfig())}
+_INT_KEYS = {key for key, typ in _KEYS.items() if typ is int}
+_FLOAT_KEYS = {key for key, typ in _KEYS.items() if typ is float}
+_BOOL_KEYS = {key for key, typ in _KEYS.items() if typ is bool}
+_PARSE = {int: int, float: float,
+          bool: lambda val: {"true": True, "false": False}[val.lower()]}
 
 
 def parse_config_text(text: str) -> SystemConfig:
     """Build a SystemConfig from line-oriented `key = value` text."""
-    values: dict[str, object] = {}
+    values = {key: value for key, _, value in _leaves(SystemConfig())}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -152,38 +176,13 @@ def parse_config_text(text: str) -> SystemConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key not in _KEYS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError("expected true/false")
-                values[key] = val.lower() == "true"
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from None
-
-    timing_kwargs = {f.name: values.pop(f.name)
-                     for f in dataclasses.fields(TimingModel)
-                     if f.name in values}
-    if "strict_timing" in values:
-        timing_kwargs["strict"] = values.pop("strict_timing")
-    energy_kwargs = {f.name: values.pop(f.name)
-                     for f in dataclasses.fields(EnergyModel)
-                     if f.name in values}
-    device_kwargs = {f.name: values.pop(f.name)
-                     for f in dataclasses.fields(DeviceConfig)
-                     if f.name in values}
-    system_kwargs = {}
-    if "host_assign_ns" in values:
-        system_kwargs["host_assign_ns"] = values.pop("host_assign_ns")
-
-    device = DeviceConfig(timing=TimingModel(**timing_kwargs), **device_kwargs)
-    return SystemConfig(device=device, energy=EnergyModel(**energy_kwargs),
-                        **system_kwargs)
+            values[key] = _PARSE[_KEYS[key]](val)
+        except (ValueError, KeyError):
+            raise ConfigError(f"line {lineno}: bad value {val!r} for {key}") from None
+    return _build(SystemConfig, values)
 
 
 def load_config(path: str | Path) -> SystemConfig:
@@ -192,27 +191,5 @@ def load_config(path: str | Path) -> SystemConfig:
 
 def dump_config(cfg: SystemConfig) -> str:
     """Emit the full `key = value` form of a SystemConfig (round-trips)."""
-    dev, t, e = cfg.device, cfg.device.timing, cfg.energy
-    pairs = [
-        ("chips", dev.chips),
-        ("banks_per_chip", dev.banks_per_chip),
-        ("subarrays_per_bank", dev.subarrays_per_bank),
-        ("rows_per_subarray", dev.rows_per_subarray),
-        ("cols_per_subarray", dev.cols_per_subarray),
-        ("clock_ns", t.clock_ns),
-        ("t_ras", t.t_ras),
-        ("t_rp", t.t_rp),
-        ("t_rcd", t.t_rcd),
-        ("t_copy_threshold", t.t_copy_threshold),
-        ("t_multi_threshold", t.t_multi_threshold),
-        ("copy_gap", t.copy_gap),
-        ("multi_gap", t.multi_gap),
-        ("strict_timing", "true" if t.strict else "false"),
-        ("refresh_interval", t.refresh_interval),
-        ("act_pj", e.act_pj),
-        ("pre_pj", e.pre_pj),
-        ("micro_op_pj", e.micro_op_pj),
-        ("background_mw", e.background_mw),
-        ("host_assign_ns", cfg.host_assign_ns),
-    ]
-    return "".join(f"{k} = {v}\n" for k, v in pairs)
+    return "".join(f"{key} = {str(value).lower() if typ is bool else value}\n"
+                   for key, typ, value in _leaves(cfg))

@@ -359,8 +359,8 @@ class Subarray:
         cells = self.cells
         opened, opened_at = [], []
         for at, rows in low.ops:
-            if len(rows) == 2:
-                cells[rows[1]] = cells[rows[0]]
+            if len(rows) == 2:  # a source ACT before the trace: use what it latched
+                cells[rows[1]] = self.row_buffer if at < 2 else cells[rows[0]]
                 continue
             a, b, c = cells[rows[0]], cells[rows[1]], cells[rows[2]]
             cells[list(rows)] = (a & b) | (c & (a | b))

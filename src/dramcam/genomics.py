@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cam import (CompiledCompare, compile_program, read_image, run_compare,
-                  store_grid, write_image)
+from .cam import (CompiledCompare, compile_program, from_json, read_image,
+                  run_compare, store_grid, write_image)
 from .config import DeviceConfig
 from .core import Subarray
 from .errors import EmptyDbFault, EncodingFault, LayoutFault
@@ -131,6 +131,23 @@ class GenomeLayout:
     temps: TempRows
     groups: tuple[TaxonGroup, ...]
 
+    def __post_init__(self) -> None:
+        """Fault unless the strata fit below the reserved block, the groups
+        tile the columns from 0 in order of start, each group's k-mers fit
+        its columns, and some group holds a k-mer."""
+        base = reserved_base(self.rows_per_subarray)
+        if self.k < 1 or self.strata < 1 or self.data_rows > base:
+            raise LayoutFault(f"{self.strata} strata of k={self.k} need {self.data_rows}"
+                              f" data rows but only {base} sit below the reserved block")
+        end = 0
+        for g in sorted(self.groups, key=lambda g: (g.start, g.columns)):
+            if g.start != end or not 0 <= g.kmers <= g.columns * self.strata:
+                raise LayoutFault(f"taxon {g.taxon!r}: {g.kmers} k-mers in columns "
+                                  f"{g.start}+{g.columns} after column {end}")
+            end += g.columns
+        if not any(g.kmers for g in self.groups):
+            raise EmptyDbFault("the layout holds no k-mers")
+
     @property
     def total_columns(self) -> int:
         return sum(g.columns for g in self.groups)
@@ -207,25 +224,20 @@ def ingest(records: Iterable[tuple[str, str]], k: int,
     if not by_taxon:
         raise EmptyDbFault("no storable k-mers in the reference input")
 
-    base = reserved_base(device.rows_per_subarray)
-    strata = base // (4 * k)
-    if strata < 1:
-        raise LayoutFault(
-            f"k={k} needs {4 * k} data rows per stratum but only "
-            f"{base} sit below the reserved block")
-
+    # at least one stratum, so that GenomeLayout faults on a k too large
+    strata = max(1, reserved_base(device.rows_per_subarray) // (4 * k))
     groups, start = [], 0
     for taxon, kmers in by_taxon.items():
         width = -(-len(kmers) // strata)
         groups.append(TaxonGroup(taxon, start, width, len(kmers)))
         start += width
+    layout = GenomeLayout(k, strata, device.rows_per_subarray,
+                          *allocate_reserved_rows(device.rows_per_subarray),
+                          tuple(groups))
     if start > device.total_columns:
         raise LayoutFault(f"database needs {start} columns but the device "
                           f"provides {device.total_columns}")
 
-    layout = GenomeLayout(k, strata, device.rows_per_subarray,
-                          *allocate_reserved_rows(device.rows_per_subarray),
-                          tuple(groups))
     cells = np.zeros((layout.data_rows, start), dtype=np.uint8)
     for group in groups:
         for i, kmer in enumerate(by_taxon[group.taxon]):
@@ -373,51 +385,55 @@ def format_results(results: Sequence[ClassificationResult],
 
 # -- database image ----------------------------------------------------------
 
+@dataclass(frozen=True)
+class KmerHeader:
+    """The header fields of a k-mer image; `groups` holds TaxonGroup entries."""
+
+    kind = "kmers"
+    k: int
+    strata: int
+    rows_per_subarray: int
+    columns: int
+    groups: list
+
+
+def _header(db: KmerDatabase) -> KmerHeader:
+    layout = db.layout
+    return KmerHeader(db.k, layout.strata, layout.rows_per_subarray,
+                      layout.total_columns, [dict(vars(g)) for g in layout.groups])
+
+
 def save_kmer_db(path: str | Path, db: KmerDatabase) -> None:
-    header = {
-        "kind": "kmers",
-        "k": db.k,
-        "strata": db.layout.strata,
-        "rows_per_subarray": db.layout.rows_per_subarray,
-        "columns": db.layout.total_columns,
-        "groups": [{"taxon": g.taxon, "start": g.start, "columns": g.columns,
-                    "kmers": g.kmers} for g in db.layout.groups],
-    }
     payload = np.packbits(db.column_cells, axis=0, bitorder="little").tobytes()
-    write_image(path, header, payload)
+    write_image(path, _header(db), payload)
 
 
 def load_kmer_db(path: str | Path, device: DeviceConfig | None = None
                  ) -> KmerDatabase:
     device = device or DeviceConfig()
-    header, payload = read_image(path, "kmers")
-    k, strata = header["k"], header["strata"]
-    rows = header["rows_per_subarray"]
-    if rows != device.rows_per_subarray:
-        device = replace(device, rows_per_subarray=rows)
-    groups = tuple(TaxonGroup(g["taxon"], g["start"], g["columns"], g["kmers"])
-                   for g in header["groups"])
-    layout = GenomeLayout(k, strata, rows, *allocate_reserved_rows(rows), groups)
-    n_cols = header["columns"]
-    data_rows = layout.data_rows
-    stride = -(-data_rows // 8)
+    header, payload = read_image(path, KmerHeader)
+    rows = header.rows_per_subarray
+    device = replace(device, rows_per_subarray=rows)
+    groups = tuple(from_json(TaxonGroup, g, f"{path}: group {i}")
+                   for i, g in enumerate(header.groups))
+    layout = GenomeLayout(header.k, header.strata, rows,
+                          *allocate_reserved_rows(rows), groups)
+    n_cols = layout.total_columns
+    if header.columns != n_cols:
+        raise LayoutFault(f"{path}: {header.columns} columns, but the groups "
+                          f"span {n_cols}")
+    stride = -(-layout.data_rows // 8)
     if len(payload) != stride * n_cols:
         raise EncodingFault(f"{path}: payload is {len(payload)} bytes, "
                             f"expected {stride * n_cols}")
     packed = np.frombuffer(payload, dtype=np.uint8).reshape(stride, n_cols)
-    cells = np.unpackbits(packed, axis=0, bitorder="little", count=data_rows)
-    return KmerDatabase(k, layout, cells.astype(np.uint8), device)
+    cells = np.unpackbits(packed, axis=0, bitorder="little",
+                          count=layout.data_rows)
+    return KmerDatabase(header.k, layout, cells, device)
 
 
 def manifest_dict(db: KmerDatabase) -> dict:
-    """Layout manifest for the CLI: geometry, groups, capacity stats."""
-    return {
-        "k": db.k,
-        "strata": db.layout.strata,
-        "columns": db.layout.total_columns,
-        "rows_per_subarray": db.layout.rows_per_subarray,
-        "data_rows": db.layout.data_rows,
-        "subarrays": -(-db.layout.total_columns // db.device.cols_per_subarray),
-        "groups": [{"taxon": g.taxon, "start": g.start, "columns": g.columns,
-                    "kmers": g.kmers} for g in db.layout.groups],
-    }
+    """Layout manifest for the CLI: the image header's fields, data rows
+    and subarrays."""
+    return {**vars(_header(db)), "data_rows": db.layout.data_rows,
+            "subarrays": -(-db.layout.total_columns // db.device.cols_per_subarray)}

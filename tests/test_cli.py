@@ -379,3 +379,92 @@ def test_bench_latency_equals_classify_cycles(wide_kmer_db, tmp_path):
     _, summary = classify_batch(db, queries, "hd1")
     payload = json.loads(report_path.read_text())
     assert payload["batch"]["latency_cycles"] == summary.simulated_cycles
+
+
+def header_of(img):
+    return json.loads(img.read_bytes().split(b"\n", 2)[1])
+
+
+@pytest.mark.parametrize("db,changes", [
+    ("word_db", {"mode": ["x"]}),
+    ("word_db", {"m": "4"}),
+    ("word_db", {"count": 3.0}),
+    ("kmer_db", {"k": "4"}),
+    ("kmer_db", {"groups": {"taxon": "tax_a"}}),
+    ("kmer_db", {"groups": [[0, 1]]}),
+])
+def test_header_value_of_the_wrong_type_faults(db, changes, request, tmp_path,
+                                               capsys):
+    img = request.getfixturevalue(db)
+    rewrite_header(img, **changes)
+    q = tmp_path / "q.txt"
+    q.write_text("0101\n" if db == "word_db" else "ACGT\n")
+    assert_one_fault_line(capsys, "encoding-fault", "search", "--db", str(img),
+                          "--queries", str(q))
+
+
+def test_json_true_is_not_a_count(tmp_path, capsys):
+    words = tmp_path / "one.txt"
+    words.write_text("0101\n")
+    img = tmp_path / "one.img"
+    assert run_cli("build-db", "--words", str(words), "--out", str(img)) == 0
+    rewrite_header(img, count=True)  # equal to 1 in Python, not a JSON int
+    assert_one_fault_line(capsys, "encoding-fault", "search", "--db", str(img),
+                          "--queries", str(words))
+
+
+@pytest.mark.parametrize("key,value", [("start", None), ("taxon", 5),
+                                       ("kmers", True)])
+def test_group_entry_of_the_wrong_shape_faults(kmer_db, tmp_path, capsys,
+                                               key, value):
+    groups = header_of(kmer_db)["groups"]
+    if value is None:
+        del groups[0][key]
+    else:
+        groups[0][key] = value
+    rewrite_header(kmer_db, groups=groups)
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    assert_one_fault_line(capsys, "encoding-fault", "search", "--db",
+                          str(kmer_db), "--queries", str(q))
+
+
+@pytest.mark.parametrize("case", ["stratum in the reserved block",
+                                  "overlapping groups", "group past the columns",
+                                  "columns beyond the groups",
+                                  "more k-mers than slots"])
+def test_malformed_kmer_layout_faults(kmer_db, tmp_path, capsys, case):
+    """Each case keeps the payload at the length the edited header asks
+    for, so only the layout is wrong."""
+    h = header_of(kmer_db)
+    groups, strata, columns = h["groups"], h["strata"], h["columns"]
+    stride = -(-4 * h["k"] * strata // 8)
+    pad = 0
+    if case == "stratum in the reserved block":
+        h["strata"] += 1
+        pad = (-(-4 * h["k"] * (strata + 1) // 8) - stride) * columns
+    elif case == "overlapping groups":
+        groups[1]["start"] -= 1
+    elif case == "group past the columns":
+        groups[1]["start"] += 1
+    elif case == "columns beyond the groups":
+        h["columns"] += 1
+        pad = stride
+    else:
+        groups[0]["kmers"] = groups[0]["columns"] * strata + 1
+    rewrite_header(kmer_db, **h)
+    kmer_db.write_bytes(kmer_db.read_bytes() + bytes(pad))
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    assert_one_fault_line(capsys, "layout-fault", "search", "--db",
+                          str(kmer_db), "--queries", str(q))
+
+
+def test_kmer_image_without_kmers_faults(kmer_db, tmp_path, capsys):
+    rewrite_header(kmer_db, columns=0, groups=[])
+    magic, line, _ = kmer_db.read_bytes().split(b"\n", 2)
+    kmer_db.write_bytes(magic + b"\n" + line + b"\n")  # no columns, no bytes
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    assert_one_fault_line(capsys, "empty-db-fault", "bench", "--db",
+                          str(kmer_db), "--queries", str(q))

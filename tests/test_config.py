@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from dramcam import (ConfigError, DeviceConfig, EnergyModel, GEOMETRY_NARROW,
@@ -9,7 +11,6 @@ def test_default_timing_matches_ddr3_1600():
     t = TimingModel()
     assert t.t_rp_ns == pytest.approx(13.75)
     assert t.t_ras_ns == pytest.approx(35.0)
-    assert t.ns(t.t_rcd) == pytest.approx(13.75)
 
 
 def test_threshold_ordering_enforced():
@@ -70,6 +71,8 @@ def test_config_parse_comments_and_defaults():
     "chips = lots",
     "strict_timing = maybe",
     "chips 2",
+    "t_rcd = 11",                    # keys no code ever read
+    "refresh_interval = 51200000",
 ])
 def test_config_parse_rejects_bad_lines(text):
     with pytest.raises(ConfigError):
@@ -93,3 +96,39 @@ def test_every_accepted_key_is_consumed(key):
     except ConfigError:
         return  # the value reached a validator, so it was consumed
     assert f"{key} = {new}\n" in dump_config(cfg)
+
+
+def test_default_dump_is_frozen():
+    assert dump_config(SystemConfig()) == """\
+chips = 16
+banks_per_chip = 8
+subarrays_per_bank = 1
+rows_per_subarray = 128
+cols_per_subarray = 8192
+clock_ns = 1.25
+t_ras = 28
+t_rp = 11
+t_copy_threshold = 6
+t_multi_threshold = 2
+copy_gap = 2
+multi_gap = 1
+strict_timing = true
+act_pj = 60.0
+pre_pj = 25.0
+micro_op_pj = 15.0
+background_mw = 1.0
+host_assign_ns = 450.0
+"""
+
+
+def test_keys_follow_the_config_fields():
+    """Every scalar field of the config dataclasses is a key of its type."""
+    expected = {}
+    for cls in (DeviceConfig, TimingModel, EnergyModel, SystemConfig):
+        for f in dataclasses.fields(cls):
+            value = getattr(cls(), f.name)
+            if not dataclasses.is_dataclass(value):
+                key = "strict_timing" if f.name == "strict" else f.name
+                expected[key] = type(value)
+    assert {**dict.fromkeys(_INT_KEYS, int), **dict.fromkeys(_FLOAT_KEYS, float),
+            **dict.fromkeys(_BOOL_KEYS, bool)} == expected

@@ -26,8 +26,10 @@ GAPS = sorted({0, T.multi_gap, T.t_multi_threshold, T.copy_gap,
                T.t_ras - 1, T.t_ras, T.t_ras + 5})
 
 
-def warm_subarray(seed: int, prefix: list[Command], timing=T) -> Subarray:
-    """Random cells, then a prefix applied through the reference."""
+def warm_subarray(seed: int, prefix: list[Command], timing=T,
+                  writes=()) -> Subarray:
+    """Random cells, then a prefix applied through the reference, then host
+    writes of random bits to the rows `writes`."""
     rng = np.random.default_rng(seed)
     sub = Subarray(ROWS, COLS, timing)
     for r in range(ROWS):
@@ -39,6 +41,8 @@ def warm_subarray(seed: int, prefix: list[Command], timing=T) -> Subarray:
                 sub.apply(cmd)
             except DramCamError:
                 pass
+    for r in writes:
+        sub.write_row(r, rng.integers(0, 2, COLS, dtype=np.uint8))
     return sub
 
 
@@ -71,8 +75,8 @@ def state(sub: Subarray) -> dict:
     }
 
 
-def assert_same(seed, prefix, trace, filter_="always", timing=T):
-    ref = warm_subarray(seed, prefix, timing)
+def assert_same(seed, prefix, trace, filter_="always", timing=T, writes=()):
+    ref = warm_subarray(seed, prefix, timing, writes)
     fast = copy.deepcopy(ref)
     expected = run(ref, trace, fast=False, filter_=filter_)
     got = run(fast, trace, fast=True, filter_=filter_)
@@ -91,6 +95,8 @@ fragment = st.one_of(
     st.just(and3(COMP, T)),
     st.just(or3(COMP, T)),
     st.builds(lambda r: [pre(T.t_rp), act(r, T.t_ras)], rows_in_range),
+    # copy the row buffer latched by the previous ACT into r
+    st.builds(lambda r: [pre(T.copy_gap), act(r, T.t_ras)], rows_in_range),
     # a legal majority program step: stage a row, preset r1, merge
     st.builds(lambda r, c: cpy(COMP.r3, r, T) + cpy(COMP.r1, c, T) + and3(COMP, T),
               data_rows, st.sampled_from([COMP.c0, COMP.c1])),
@@ -124,11 +130,30 @@ illegal = st.sampled_from([
 # -- Subarray.execute against the apply loop -----------------------------------
 
 
-@given(st.integers(0, 2**32 - 1), programs, programs)
+@given(st.integers(0, 2**32 - 1), programs, programs,
+       st.lists(st.booleans(), min_size=ROWS, max_size=ROWS))
 @settings(max_examples=150, deadline=None)
-def test_legal_programs_match_reference(seed, prefix, trace):
+def test_legal_programs_match_reference(seed, prefix, trace, write_mask):
     assert_same(seed, [], trace)          # fresh recent window
     assert_same(seed, prefix, trace)      # warm: recent and written carried over
+    # host writes between prefix and trace, each row with even odds
+    writes = [r for r in range(ROWS) if write_mask[r]]
+    assert_same(seed, prefix, trace, writes=writes)
+
+
+def test_copy_from_carried_over_act_uses_the_latched_row():
+    """A copy whose source ACT ended the previous trace copies the row
+    buffer it latched, not the source row the host rewrote since."""
+    sub = Subarray(ROWS, COLS, T)
+    sub.write_row(1, [1, 0] * (COLS // 2))
+    sub.execute([pre(T.t_rp), act(1, T.t_ras)])
+    sub.write_row(1, [0] * COLS)
+    ref = copy.deepcopy(sub)
+    trace = [pre(T.copy_gap), act(5, T.t_ras)]
+    assert run(ref, trace, fast=False, filter_="always") == (None, [])
+    assert run(sub, trace, fast=True, filter_="always") == (None, [])
+    assert ref.cells[5].tolist() == [1, 0] * (COLS // 2)
+    assert state(sub) == state(ref)
 
 
 @given(st.integers(0, 2**32 - 1), programs, programs, illegal, st.integers(0, 10**6),
