@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, get_type_hints
 import numpy as np
 
 from .config import TimingModel
-from .core import Subarray
+from .core import Subarray, Template
 from .errors import EncodingFault, LayoutFault, TraceFormatError
 from .microops import (ComputeRows, TempRows, allocate_reserved_rows, and3,
                        cpy, or3, reserved_base)
@@ -189,10 +189,7 @@ def _probe_rows(layout: LayoutMap, query: str, invert: bool,
 
 def _hd1_step(compute: ComputeRows, temps: TempRows,
               timing: TimingModel) -> list[Command]:
-    """One distance-1 position once its match read is staged in `xnor`.
-
-    It is the same for every position, so it is built once per program.
-    """
+    """One distance-1 position once its match read is staged in `xnor`."""
     stage, exact, tolerant = temps.xnor, temps.exact, temps.tolerant
     cmds = cpy(compute.r1, compute.c0, timing)
     cmds += cpy(compute.r2, tolerant, timing)
@@ -212,43 +209,82 @@ def _hd1_step(compute: ComputeRows, temps: TempRows,
     return cmds
 
 
-def compile_program(probe_rows: Sequence[int], layout, timing: TimingModel,
-                    kind: str) -> CompiledCompare:
-    """The bit-serial compare program of `kind` over rows probed in turn.
+def fold(kind: str, compute: ComputeRows, temps: TempRows, timing: TimingModel
+         ) -> tuple[list[Command], int, list[Command], int]:
+    """The parts of the bit-serial compare program of `kind`: its init, the
+    staging row each probed row is copied into, the step that folds the
+    staged row into the running result, and the row read at the end.
 
-    Each probed row is copied into a staging row, then folded into the
-    running result by a step that is the same for every probe. nand and
-    nor stage in r3 and fold into r2 through a majority with r1 preset to
-    c0 (AND, match reads 1) or c1 (OR, match reads 0). hd1 stages in
-    `xnor` and keeps two running rows, `exact` (all positions so far
+    nand and nor stage in r3 and fold into r2 through a majority with r1
+    preset to c0 (AND, match reads 1) or c1 (OR, match reads 0). hd1 stages
+    in `xnor` and keeps two running rows, `exact` (all positions so far
     matched) and `tolerant` (at most one mismatch so far), updated as
         tolerant' = (tolerant AND x) OR exact
         exact'    = exact AND x
-    and reads `tolerant` (match reads 1). `layout` is any layout with
-    `compute` and `temps` rows.
+    and reads `tolerant` (match reads 1).
     """
-    compute, temps = layout.compute, layout.temps
     if kind == "hd1":
-        cmds = (cpy(temps.exact, compute.c1, timing)
+        init = (cpy(temps.exact, compute.c1, timing)
                 + cpy(temps.tolerant, compute.c1, timing))
-        stage, result = temps.xnor, temps.tolerant
-        step = _hd1_step(compute, temps, timing) if probe_rows else []
-    elif kind in ("nand", "nor"):
+        return init, temps.xnor, _hd1_step(compute, temps, timing), temps.tolerant
+    if kind in ("nand", "nor"):
         # r2 starts at the fold identity; r1 gets the opposite constant
         init, preset, merge = ((compute.c0, compute.c1, or3) if kind == "nor"
                                else (compute.c1, compute.c0, and3))
-        cmds = cpy(compute.r2, init, timing)
-        stage, result = compute.r3, compute.r2
-        step = (cpy(compute.r1, preset, timing) + merge(compute, timing)
-                if probe_rows else [])
-    else:
-        raise EncodingFault(f"unknown compare kind {kind!r}")
+        step = cpy(compute.r1, preset, timing) + merge(compute, timing)
+        return cpy(compute.r2, init, timing), compute.r3, step, compute.r2
+    raise EncodingFault(f"unknown compare kind {kind!r}")
+
+
+def _program(probe_rows: Sequence[int], compute: ComputeRows, temps: TempRows,
+             timing: TimingModel, kind: str) -> tuple[list[Command], list[int]]:
+    """The commands of the `kind` program over rows probed in turn, and the
+    index of each probe ACT among them. Each probed row is copied into the
+    staging row, then folded in by a step that is the same for every
+    probe."""
+    cmds, stage, step, result = fold(kind, compute, temps, timing)
+    slots = []
     for row in probe_rows:
+        slots.append(len(cmds) + 1)
         cmds += cpy(stage, row, timing)
         cmds += step
     cmds += [pre(timing.t_rp), act(result, timing.t_ras)]
-    return CompiledCompare(cmds, Polarity.MATCH_IS_0 if kind == "nor"
-                           else Polarity.MATCH_IS_1)
+    return cmds, slots
+
+
+def _polarity(kind: str) -> Polarity:
+    return Polarity.MATCH_IS_0 if kind == "nor" else Polarity.MATCH_IS_1
+
+
+def _compiled(probe_rows: Sequence[int], layout: LayoutMap, timing: TimingModel,
+              kind: str) -> CompiledCompare:
+    """A word compare as a plain trace, which `Subarray.execute` lowers."""
+    cmds, _ = _program(probe_rows, layout.compute, layout.temps, timing, kind)
+    return CompiledCompare(cmds, _polarity(kind))
+
+
+@lru_cache(maxsize=256)
+def _template(kind: str, probes: int, compute: ComputeRows, temps: TempRows,
+              timing: TimingModel) -> tuple[Template, int]:
+    """The template of one program shape, and its staging row."""
+    # c0 holds each probe slot's place; binding replaces it
+    cmds, slots = _program([compute.c0] * probes, compute, temps, timing, kind)
+    return Template(cmds, slots, timing), fold(kind, compute, temps, timing)[1]
+
+
+def compile_program(probe_rows: Sequence[int], layout, timing: TimingModel,
+                    kind: str) -> CompiledCompare:
+    """The `kind` program over rows probed in turn (see `fold`), bound
+    into the template of its shape: the trace equals `_program`'s, and it
+    carries the template's lowering for `Subarray.execute` and
+    `metrics.account`. `layout` is any layout with `compute` and `temps`
+    rows."""
+    template, stage = _template(kind, len(probe_rows), layout.compute,
+                                layout.temps, timing)
+    # each probe row enters through a copy onto the staging row, which
+    # checks it as `_program` does
+    probes = [cpy(stage, row, timing)[1] for row in probe_rows]
+    return CompiledCompare(template.bind(probes), _polarity(kind))
 
 
 def compile_nand_compare(query: str | Sequence[int], layout: LayoutMap,
@@ -261,7 +297,7 @@ def compile_nand_compare(query: str | Sequence[int], layout: LayoutMap,
     AND untouched — the query-side counterpart of a stored don't-care.
     """
     rows = _probe_rows(layout, query, invert=False, ignore=ignore_positions)
-    return compile_program(rows, layout, timing, "nand")
+    return _compiled(rows, layout, timing, "nand")
 
 
 def compile_nor_compare(query: str | Sequence[int], layout: LayoutMap,
@@ -274,14 +310,14 @@ def compile_nor_compare(query: str | Sequence[int], layout: LayoutMap,
     program, so the read is the per-bit inequality, OR-folded into r2.
     """
     rows = _probe_rows(layout, query, invert=True, ignore=ignore_positions)
-    return compile_program(rows, layout, timing, "nor")
+    return _compiled(rows, layout, timing, "nor")
 
 
 def compile_hd1_compare(query: str | Sequence[int], layout: LayoutMap,
                         timing: TimingModel) -> CompiledCompare:
     """Tolerant program; verdict 1 marks columns within one mismatching bit."""
     rows = _probe_rows(layout, query, invert=False, ignore=None)
-    return compile_program(rows, layout, timing, "hd1")
+    return _compiled(rows, layout, timing, "hd1")
 
 
 def run_compare(sub: Subarray, compiled: CompiledCompare,

@@ -9,6 +9,7 @@ tRAS = 28 cycles = 35 ns).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -51,8 +52,8 @@ class TimingModel:
             raise ConfigError("multi_gap must classify below t_multi_threshold")
         if self.copy_gap >= self.t_copy_threshold:
             raise ConfigError("copy_gap must classify below t_copy_threshold")
-        if self.t_ras < self.t_rp or self.clock_ns <= 0:
-            raise ConfigError("t_ras must be >= t_rp and clock_ns positive")
+        if self.t_ras < self.t_rp or not 0 < self.clock_ns < math.inf:
+            raise ConfigError("t_ras must be >= t_rp and clock_ns positive and finite")
 
     def ns(self, cycles: int | float) -> float:
         return cycles * self.clock_ns
@@ -81,8 +82,8 @@ class EnergyModel:
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):
-            if getattr(self, f.name) < 0:
-                raise ConfigError(f"{f.name} must be nonnegative")
+            if not 0 <= getattr(self, f.name) < math.inf:
+                raise ConfigError(f"{f.name} must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -125,8 +126,8 @@ class SystemConfig:
     host_assign_ns: float = 450.0  # per-query taxon lookup on the host CPU
 
     def __post_init__(self) -> None:
-        if self.host_assign_ns < 0:
-            raise ConfigError("host_assign_ns must be nonnegative")
+        if not 0 <= self.host_assign_ns < math.inf:
+            raise ConfigError("host_assign_ns must be nonnegative and finite")
 
 
 # config key of a field whose own name would not say which part it sets

@@ -14,11 +14,13 @@ only by each command's ``gap_after``. `Subarray.apply` is the reference,
 one command at a time. `Subarray.execute` lowers a whole trace once
 (`lower`) and runs only the copies and majorities on the cell grid; a
 trace the reference would fault or warn on is replayed through `apply`.
+A compiled trace brings its lowering along: a `Template` lowers each
+program shape once, and a `Program` binds the probe rows of one query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -27,10 +29,10 @@ import warnings
 import numpy as np
 
 from .config import DeviceConfig, TimingModel
-from .errors import (AddressFault, ProtocolFault, StalePresetWarning,
-                     TimingFault, TraceFormatError)
+from .errors import (AddressFault, DramCamError, ProtocolFault,
+                     StalePresetWarning, TimingFault, TraceFormatError)
 from .microops import majority_row_set
-from .trace import Command, CommandKind
+from .trace import Command, CommandKind, CompiledTrace
 
 
 class BitlinePhase(Enum):
@@ -242,6 +244,74 @@ def lower(trace: Sequence[Command], timing: TimingModel,
         fault_at=int(min(faults)) - skip if faults else None)
 
 
+class Template:
+    """A program lowered once, with its probe ACTs left open.
+
+    `slots` index the probe ACTs of `commands`, whose rows are placeholders.
+    Each probe ACT is the source of one row copy and closes no window, so
+    binding rows to them changes only those ACT rows and copy sources. All
+    else in the lowering holds for any probe rows, and so does the
+    stale-preset check, which passes here from an empty written set.
+    """
+
+    def __init__(self, commands: Sequence[Command], slots: Sequence[int],
+                 timing: TimingModel):
+        self.commands = tuple(commands)
+        self.slots = list(slots)
+        self.timing = timing
+        self.lowering = low = lower(self.commands, timing, written=set())
+        op_at = {at: i for i, (at, _) in enumerate(low.ops)}
+        self.slot_ops = [op_at.get(slot + 2) for slot in self.slots]
+        for slot, i in zip(self.slots, self.slot_ops):
+            # a gap below the multi threshold before the slot could make a
+            # majority whose rows depend on the probe row
+            if (i is None or len(low.ops[i][1]) != 2 or slot in op_at
+                    or (slot and low.flags[0][slot - 1])):
+                raise TraceFormatError(f"probe ACT {slot} is not only a copy source")
+        fixed = np.ones(len(self.commands), dtype=bool)
+        fixed[self.slots] = False
+        used = [*low.rows[low.is_act & fixed].tolist(),
+                *(row for _, rows in low.ops if len(rows) == 3 for row in rows)]
+        self.row_span = (min(used, default=0), max(used, default=0))
+
+    def bind(self, probes: Sequence[Command]) -> CompiledTrace:
+        """The trace with the ACT commands `probes` in its slots."""
+        trace = CompiledTrace(self.commands)
+        for slot, cmd in zip(self.slots, probes, strict=True):
+            trace[slot] = cmd
+        trace.program = Program(self, [cmd.row for cmd in probes])
+        return trace
+
+
+class Program:
+    """A template with rows bound to its probe ACTs: one compiled trace."""
+
+    def __init__(self, template: Template, probe_rows: Sequence[int]):
+        self.template = template
+        self.probe_rows = list(probe_rows)
+        low, high = template.row_span
+        self.row_span = (min([low, *self.probe_rows]), max([high, *self.probe_rows]))
+
+    @property
+    def duration(self) -> int:
+        return self.template.lowering.duration
+
+    def lowering(self, written: Iterable[int] | None = None) -> Lowering:
+        """Equal to `lower(trace, timing, (), None, written)` of the bound
+        trace, where `timing` is the template's."""
+        template = self.template
+        low = template.lowering
+        rows = low.rows.copy()
+        rows[template.slots] = self.probe_rows
+        ops = low.ops.copy()
+        for i, row in zip(template.slot_ops, self.probe_rows):
+            at, (_, target) = ops[i]
+            ops[i] = (at, (row, target))
+        if written is not None:  # a majority resets the set
+            written = set(low.written) if low.majorities else {*written, *low.written}
+        return replace(low, rows=rows, ops=ops, written=written)
+
+
 @dataclass
 class CoverageReport:
     """Which cells of the requested rows were activated inside a window."""
@@ -339,18 +409,28 @@ class Subarray:
         """Apply a whole trace; the end state equals an `apply` loop's.
 
         The trace is lowered once and only its copies and majorities touch
-        the cell grid. If the reference would fault or warn anywhere in the
-        trace, nothing is changed here and the trace is replayed through
-        `apply`, which raises or warns at the same command.
+        the cell grid. A compiled trace's program already holds its
+        lowering; only the row range and the windows its first commands
+        close with the commands before it depend on this subarray. If the
+        reference would fault or warn anywhere in the trace, nothing is
+        changed here and the trace is replayed through `apply`, which
+        raises or warns at the same command.
         """
+        program = getattr(trace, "program", None)
         trace = list(trace)
         if not trace:
             return
-        try:
-            low = lower(trace, self.timing, self._recent, self.rows,
-                        self._written_since_majority)
-        except TraceFormatError:
-            low = None
+        low = None
+        if (program is not None and program.template.timing == self.timing
+                and 0 <= program.row_span[0] <= program.row_span[1] < self.rows
+                and self._joins_as_read(trace)):
+            low = program.lowering(self._written_since_majority)
+        else:
+            try:
+                low = lower(trace, self.timing, self._recent, self.rows,
+                            self._written_since_majority)
+            except TraceFormatError:
+                pass
         if low is None or low.fault_at is not None:
             for cmd in trace:
                 self.apply(cmd)
@@ -363,7 +443,7 @@ class Subarray:
                 cells[rows[1]] = self.row_buffer if at < 2 else cells[rows[0]]
                 continue
             a, b, c = cells[rows[0]], cells[rows[1]], cells[rows[2]]
-            cells[list(rows)] = (a & b) | (c & (a | b))
+            cells[rows[0]] = cells[rows[1]] = cells[rows[2]] = (a & b) | (c & (a | b))
             opened.extend(rows)
             opened_at.extend((at, at, at))
         # every row keeps the issue clock of the last command that opened it
@@ -390,6 +470,22 @@ class Subarray:
             self.open_rows = set(low.ops[-1][1])
         else:
             self.open_rows = {int(low.rows[-1])}
+
+    def _joins_as_read(self, trace: list[Command]) -> bool:
+        """Whether every window that the first commands of `trace` close
+        with the last commands before it is a plain read, with no fault, as
+        when the trace is lowered on its own."""
+        cmds = [*self._recent, *trace[:2]]
+        for end in range(len(self._recent), len(cmds)):
+            if cmds[end].kind is CommandKind.ACT:
+                if end and cmds[end - 1].kind is CommandKind.ACT:
+                    return False
+                try:
+                    if detect_micro_op(cmds[:end + 1], self.timing).kind is not MicroOp.NONE:
+                        return False
+                except DramCamError:
+                    return False
+        return True
 
     def _apply_pre(self, cmd: Command) -> None:
         self.open_rows = set()

@@ -413,11 +413,22 @@ def load_kmer_db(path: str | Path, device: DeviceConfig | None = None
     device = device or DeviceConfig()
     header, payload = read_image(path, KmerHeader)
     rows = header.rows_per_subarray
-    device = replace(device, rows_per_subarray=rows)
+    if rows % 2 or rows < 8:
+        raise LayoutFault(f"{path}: rows_per_subarray {rows} is not an even "
+                          "count of at least 8")
     groups = tuple(from_json(TaxonGroup, g, f"{path}: group {i}")
                    for i, g in enumerate(header.groups))
     layout = GenomeLayout(header.k, header.strata, rows,
                           *allocate_reserved_rows(rows), groups)
+    # ingest stacks as many strata as fit, so one more must not fit; this
+    # also bounds the grid that each shard allocates
+    if reserved_base(rows) >= layout.data_rows + 4 * layout.k:
+        raise LayoutFault(f"{path}: rows_per_subarray {rows} holds more than "
+                          f"the header's {layout.strata} strata of k={layout.k}")
+    if rows != device.rows_per_subarray:
+        log.info("%s: the image's rows_per_subarray %d replaces the "
+                 "configured %d", path, rows, device.rows_per_subarray)
+        device = replace(device, rows_per_subarray=rows)
     n_cols = layout.total_columns
     if header.columns != n_cols:
         raise LayoutFault(f"{path}: {header.columns} columns, but the groups "

@@ -13,11 +13,12 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .config import DeviceConfig, EnergyModel, TimingModel
-from .core import lower
+from .core import Lowering, Template, lower
 from .errors import AccountingFault, TraceFormatError
 from .trace import Command
 
@@ -47,9 +48,34 @@ def account(trace: list[Command], timing: TimingModel,
 
     Counts come from the same lowering the simulator executes, on lenient
     timing: undefined-band windows count as standard, and a majority on
-    rows outside one constrained triple counts nothing.
+    rows outside one constrained triple counts nothing. A compiled trace
+    takes them from its template, which was lowered once under thresholds
+    that must equal `timing`'s (strictness changes no count).
     """
-    low = lower(trace, dataclasses.replace(timing, strict=False))
+    program = getattr(trace, "program", None)
+    if program is not None and _lenient(program.template.timing) == _lenient(timing):
+        counts, latency = _template_tally(program.template)
+    else:
+        counts, latency = _tally(lower(trace, _lenient(timing)), trace)
+    # Pattern counts are informational; the energy terms stay local to one
+    # command so that accounting remains additive under concatenation.
+    micro_ops = counts["truncated_act"] + counts["truncated_pre"]
+    latency_ns = timing.ns(latency)
+    energy_pj = (counts["ACT"] * energy.act_pj + counts["PRE"] * energy.pre_pj
+                 + micro_ops * energy.micro_op_pj
+                 + energy.background_mw * latency_ns)
+    return Report(counts=dict(counts), latency_cycles=latency,
+                  latency_ns=latency_ns, energy_pj=energy_pj,
+                  search_ns=latency_ns, assign_ns=0.0)
+
+
+@lru_cache(maxsize=64)
+def _lenient(timing: TimingModel) -> TimingModel:
+    return dataclasses.replace(timing, strict=False)
+
+
+def _tally(low: Lowering, trace) -> tuple[dict[str, int], int]:
+    """Command counts and duration of the lowering of `trace`."""
     negative = np.flatnonzero(low.gaps < 0)
     if len(negative):
         raise TraceFormatError(f"negative gap on {trace[negative[0]]}")
@@ -59,16 +85,12 @@ def account(trace: list[Command], timing: TimingModel,
               "truncated_act": int((low.is_act & below_multi).sum()),
               "truncated_pre": int((~low.is_act & below_copy).sum()),
               "row_copy": low.copies, "multi_activate": low.majorities}
-    # Pattern counts are informational; the energy terms stay local to one
-    # command so that accounting remains additive under concatenation.
-    micro_ops = counts["truncated_act"] + counts["truncated_pre"]
-    latency = low.duration
-    latency_ns = timing.ns(latency)
-    energy_pj = (counts["ACT"] * energy.act_pj + counts["PRE"] * energy.pre_pj
-                 + micro_ops * energy.micro_op_pj
-                 + energy.background_mw * latency_ns)
-    return Report(counts=counts, latency_cycles=latency, latency_ns=latency_ns,
-                  energy_pj=energy_pj, search_ns=latency_ns, assign_ns=0.0)
+    return counts, low.duration
+
+
+@lru_cache(maxsize=256)
+def _template_tally(template: Template) -> tuple[dict[str, int], int]:
+    return _tally(template.lowering, template.commands)
 
 
 def add_host_assignment(report: Report, queries: int,

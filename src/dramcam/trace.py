@@ -2,7 +2,9 @@
 
 A trace is a plain list of :class:`Command`. Each command carries the time
 gap (abstract units, one DRAM clock cycle each) between itself and the next
-command; all timing-violation behavior is expressed through these gaps.
+command; all timing-violation behavior is expressed through these gaps. A
+compiled program's trace is a :class:`CompiledTrace`, a list that also
+carries the program it was bound from.
 """
 
 from __future__ import annotations
@@ -26,6 +28,31 @@ class Command:
     kind: CommandKind
     row: int | None
     gap_after: int
+
+
+class CompiledTrace(list):
+    """The commands of a compiled program, plus `program`: the bound
+    `core.Program` whose lowering they are, or None once the list changes.
+
+    Concatenating or copying one gives a plain list.
+    """
+
+    program = None
+
+
+def _forgets_program(name: str):
+    method = getattr(list, name)
+
+    def changed(self, *args, **kwargs):
+        self.program = None
+        return method(self, *args, **kwargs)
+    changed.__name__ = name
+    return changed
+
+
+for _name in ("__setitem__", "__delitem__", "__iadd__", "__imul__", "append",
+              "extend", "insert", "pop", "remove", "clear", "sort", "reverse"):
+    setattr(CompiledTrace, _name, _forgets_program(_name))
 
 
 def act(row: int, gap: int) -> Command:
@@ -90,7 +117,11 @@ def _parse_gap(token: str) -> int:
 
 
 def trace_cycles(trace: Sequence[Command]) -> int:
-    """Total simulated duration of a trace: the sum of its gaps."""
+    """Total simulated duration of a trace: the sum of its gaps, which a
+    compiled trace's program holds."""
+    program = getattr(trace, "program", None)
+    if program is not None:
+        return program.duration
     return sum(cmd.gap_after for cmd in trace)
 
 

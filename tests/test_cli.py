@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import dramcam
-from dramcam import classify_batch, load_config, load_kmer_db, parse_trace
+from dramcam import (classify_batch, load_config, load_kmer_db, parse_config_text,
+                     parse_trace)
 from dramcam.genomics import compile_kmer_compare
 from dramcam.cli import main
 
@@ -468,3 +469,32 @@ def test_kmer_image_without_kmers_faults(kmer_db, tmp_path, capsys):
     q.write_text("ACGT\n")
     assert_one_fault_line(capsys, "empty-db-fault", "bench", "--db",
                           str(kmer_db), "--queries", str(q))
+
+
+@pytest.mark.parametrize("rows", [63, 6, 4096])
+def test_image_rows_per_subarray_is_checked_against_its_layout(
+        kmer_db, tmp_path, capsys, rows):
+    """An odd or too small row count, or one with room for more strata
+    than the header holds (which would size every shard's grid), is the
+    image's fault and names it."""
+    rewrite_header(kmer_db, rows_per_subarray=rows)
+    q = tmp_path / "q.txt"
+    q.write_text("ACGT\n")
+    assert_one_fault_line(capsys, "layout-fault", "search", "--db",
+                          str(kmer_db), "--queries", str(q))
+    run_cli("search", "--db", str(kmer_db), "--queries", str(q))
+    assert f"{kmer_db}: rows_per_subarray {rows}" in capsys.readouterr().err
+
+
+def test_image_row_count_replacing_the_config_is_logged(kmer_db, caplog):
+    device = parse_config_text("rows_per_subarray = 160\n").device
+    with caplog.at_level("INFO", logger="dramcam.genomics"):
+        db = load_kmer_db(kmer_db, device)
+    assert db.device.rows_per_subarray == 128
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{kmer_db}: the image's rows_per_subarray 128 replaces the "
+        "configured 160"]
+    caplog.clear()
+    with caplog.at_level("INFO", logger="dramcam.genomics"):
+        load_kmer_db(kmer_db)
+    assert caplog.records == []

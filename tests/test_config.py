@@ -98,6 +98,15 @@ def test_every_accepted_key_is_consumed(key):
     assert f"{key} = {new}\n" in dump_config(cfg)
 
 
+@pytest.mark.parametrize("key", sorted(_FLOAT_KEYS))
+def test_non_finite_float_is_rejected(key):
+    """NaN passes every ordered comparison's negation, and an infinite
+    clock or energy turns every report into nan or inf."""
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text(f"{key} = {value}\n")
+
+
 def test_default_dump_is_frozen():
     assert dump_config(SystemConfig()) == """\
 chips = 16

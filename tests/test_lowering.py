@@ -1,17 +1,24 @@
-"""Differential tests: the lowered `Subarray.execute` and `account()` against
+"""Differential tests: the lowered `Subarray.execute` and `account()`, and
+the lowering a compiled trace brings from its template, against
 command-by-command references."""
 
 import copy
+import dataclasses
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dramcam import (EnergyModel, StalePresetWarning, Subarray, TimingModel,
-                     TraceFormatError, account, act, allocate_reserved_rows,
-                     and3, cpy, or3, pre)
+from dramcam import (AddressFault, EnergyModel, StalePresetWarning, Subarray,
+                     TimingModel, TraceFormatError, account, act,
+                     allocate_reserved_rows, and3, cpy, ingest_text, or3, pre,
+                     trace_cycles)
+from dramcam import core
+from dramcam.cam import compile_program
 from dramcam.core import lower
+from dramcam.genomics import compile_kmer_compare
 from dramcam.errors import DramCamError
 from dramcam.trace import Command, CommandKind
 
@@ -286,3 +293,172 @@ def test_account_counts_programs():
     assert counts["row_copy"] == 2 and counts["multi_activate"] == 2
     with pytest.raises(TraceFormatError):
         account(trace + [Command(CommandKind.PRE, None, -3)], T, E)
+
+
+# -- compiled traces: a template's lowering with the probe rows bound ---------
+
+LAYOUT = SimpleNamespace(compute=COMP, temps=TEMPS)
+KINDS = ("nand", "nor", "hd1")
+# a longer nominal tRAS: the compiled copies fall in the undefined band
+SLOW = TimingModel(t_ras=40)
+probe_lists = st.lists(data_rows, max_size=6)
+
+
+def fields(low):
+    """A lowering as plain values, field by field."""
+    out = {}
+    for f in dataclasses.fields(low):
+        value = getattr(low, f.name)
+        if f.name == "flags":
+            value = [flag.tolist() for flag in value]
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        out[f.name] = value
+    return out
+
+
+@given(st.sampled_from(KINDS), probe_lists,
+       st.one_of(st.none(), st.sets(rows_in_range)))
+@settings(max_examples=150, deadline=None)
+def test_bound_lowering_equals_lowering_the_list(kind, probes, written):
+    trace = compile_program(probes, LAYOUT, T, kind).trace
+    assert isinstance(trace, list) and trace.program is not None
+    assert fields(trace.program.lowering(written)) == fields(
+        lower(list(trace), T, (), None, written))
+
+
+@pytest.mark.parametrize("kind", ["exact", "hd1"])
+def test_bound_kmer_lowering_equals_lowering_the_list(kind):
+    rng = np.random.default_rng(3)
+    db = ingest_text(">a\n" + "".join(rng.choice(list("ACGT"), 300)) + "\n", 8)
+    for stratum in range(db.layout.strata):
+        query = "".join(rng.choice(list("ACGT"), 8))
+        trace = compile_kmer_compare(query, db.layout, db.device, stratum,
+                                     kind).trace
+        low = trace.program.lowering(set())
+        assert fields(low) == fields(lower(list(trace), db.device.timing,
+                                           (), None, set()))
+        assert [int(low.rows[s]) for s in trace.program.template.slots] == [
+            db.layout.hot_row(stratum, j, b) for j, b in enumerate(query)]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(KINDS), probe_lists,
+       st.one_of(programs, st.lists(any_command, max_size=6)),
+       st.lists(st.booleans(), min_size=ROWS, max_size=ROWS),
+       st.sampled_from(["always", "error"]))
+@settings(max_examples=150, deadline=None)
+def test_bound_execute_matches_reference(seed, kind, probes, prefix, write_mask,
+                                         filter_):
+    trace = compile_program(probes, LAYOUT, T, kind).trace
+    writes = [r for r in range(ROWS) if write_mask[r]]
+    assert_same(seed, [], trace, filter_)
+    assert_same(seed, prefix, trace, filter_)
+    assert_same(seed, prefix, trace, filter_, writes=writes)
+    for timing in (LENIENT, SLOW, dataclasses.replace(SLOW, strict=False)):
+        assert_same(seed, prefix, trace, filter_, timing=timing)  # not its own
+    assert trace.program is not None
+
+
+def test_bound_execute_does_not_lower(monkeypatch):
+    """A compiled trace runs on its template's lowering, on a fresh
+    subarray and after another compiled trace."""
+    traces = [compile_program(p, LAYOUT, T, kind).trace
+              for kind, p in [("hd1", [1, 2, 5]), ("nand", [0, 3]),
+                              ("nor", [7, 6, 1])]]
+    sub = warm_subarray(4, [])
+    ref = copy.deepcopy(sub)
+    for cmd in [c for t in traces for c in t]:
+        ref.apply(cmd)
+
+    def no_lowering(*args, **kwargs):
+        raise AssertionError("lowered again")
+    monkeypatch.setattr(core, "lower", no_lowering)
+    for trace in traces:
+        sub.execute(trace)
+    assert state(sub) == state(ref)
+
+
+def test_bound_execute_checks_the_subarray_rows():
+    # the reserved block past the last row, then a probe row
+    for probes, rows in (([1, 2], ROWS - 4), ([1, ROWS + 4], ROWS)):
+        trace = compile_program(probes, LAYOUT, T, "nand").trace
+        outcomes = []
+        for fast in (True, False):
+            sub = Subarray(rows, COLS, T)
+            outcomes.append((run(sub, trace, fast, "always"), state(sub)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][0] is AddressFault
+
+
+@given(st.sampled_from(KINDS), probe_lists)
+@settings(max_examples=50, deadline=None)
+def test_template_report_equals_account_of_the_list(kind, probes):
+    trace = compile_program(probes, LAYOUT, T, kind).trace
+    for timing in (T, LENIENT, SLOW):
+        assert account(trace, timing, E) == account(list(trace), timing, E)
+    assert trace_cycles(trace) == trace_cycles(list(trace))
+
+
+def test_account_hands_out_a_new_report_each_call():
+    trace = compile_program([1, 2], LAYOUT, T, "hd1").trace
+    first, second = account(trace, T, E), account(trace, T, E)
+    assert first == second
+    assert first is not second and first.counts is not second.counts
+    first.counts["ACT"] = -1
+    assert account(trace, T, E) == second
+
+
+MUTATIONS = {
+    "append": lambda t: t.append(pre(T.t_rp)),
+    "extend": lambda t: t.extend(and3(COMP, T)),
+    "iadd": lambda t: t.__iadd__(or3(COMP, T)),
+    "imul": lambda t: t.__imul__(2),
+    "setitem": lambda t: t.__setitem__(1, act(4, T.t_ras)),
+    "setslice": lambda t: t.__setitem__(slice(0, 4), cpy(COMP.r1, 3, T)),
+    "delitem": lambda t: t.__delitem__(0),
+    "insert": lambda t: t.insert(2, pre(T.copy_gap)),
+    "pop": lambda t: t.pop(),
+    "remove": lambda t: t.remove(t[0]),
+    "clear": lambda t: t.clear(),
+    "reverse": lambda t: t.reverse(),
+    "sort": lambda t: t.sort(key=lambda c: c.gap_after),
+}
+
+
+@pytest.mark.parametrize("how", sorted(MUTATIONS))
+def test_changed_compiled_trace_is_a_plain_list(how):
+    trace = compile_program([1, 2, 3], LAYOUT, T, "hd1").trace
+    MUTATIONS[how](trace)
+    assert trace.program is None
+    assert trace_cycles(trace) == sum(c.gap_after for c in trace)
+    assert account(trace, LENIENT, E) == account(list(trace), LENIENT, E)
+    for seed in (1, 2):
+        assert_same(seed, [], trace)
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(any_command, max_size=4),
+       st.lists(any_command, max_size=8), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_any_template_executes_like_its_list(seed, prefix, commands, strict):
+    """A template of any commands, with no probe slots, also ones that
+    start with an ACT or close windows with the commands before them."""
+    timing = T if strict else LENIENT
+    try:
+        template = core.Template(commands, [], timing)
+    except TraceFormatError:
+        return
+    trace = template.bind([])
+    assert fields(trace.program.lowering()) == fields(lower(commands, timing))
+    assert_same(seed, prefix, trace, timing=timing)
+
+
+def test_template_slot_must_be_only_a_copy_source():
+    copy_ = cpy(COMP.r3, 1, T)
+    assert core.Template(copy_, [1], T).slot_ops == [0]
+    # a majority gap before the slot: its pair with row 1 faults here, but
+    # another probe row could make it a majority
+    after_majority_gaps = [act(5, T.multi_gap), pre(T.multi_gap)] + copy_[1:]
+    for commands, slot in ((copy_, 3), (and3(COMP, T), 1), (and3(COMP, T), 3),
+                           (after_majority_gaps, 2)):
+        with pytest.raises(TraceFormatError):
+            core.Template(commands, [slot], T)
