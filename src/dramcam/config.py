@@ -86,6 +86,10 @@ class EnergyModel:
                 raise ConfigError(f"{f.name} must be nonnegative and finite")
 
 
+# one byte per cell: 256 MiB for one subarray's grid, e.g. 4096 x 65536
+MAX_SUBARRAY_CELLS = 2**28
+
+
 @dataclass(frozen=True)
 class DeviceConfig:
     """Chip/bank/subarray geometry. Defaults: 16 chips, 8 banks/chip,
@@ -107,6 +111,10 @@ class DeviceConfig:
                 raise ConfigError(f"{f.name} must be >= 1")
         if self.rows_per_subarray % 2 != 0 or self.rows_per_subarray < 8:
             raise ConfigError("rows_per_subarray must be even and >= 8")
+        if self.rows_per_subarray * self.cols_per_subarray > MAX_SUBARRAY_CELLS:
+            raise ConfigError(
+                f"a {self.rows_per_subarray} x {self.cols_per_subarray} "
+                f"subarray holds more than {MAX_SUBARRAY_CELLS} cells")
 
     @property
     def total_columns(self) -> int:

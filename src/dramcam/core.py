@@ -11,11 +11,14 @@ overwrites its row with the latched values (row copy).
 
 Commands are applied strictly in trace order; simulation time advances
 only by each command's ``gap_after``. `Subarray.apply` is the reference,
-one command at a time. `Subarray.execute` lowers a whole trace once
-(`lower`) and runs only the copies and majorities on the cell grid; a
-trace the reference would fault or warn on is replayed through `apply`.
-A compiled trace brings its lowering along: a `Template` lowers each
-program shape once, and a `Program` binds the probe rows of one query.
+one command at a time. `Subarray.execute` checks the windows a trace's
+first commands close with the commands before it (`_joins_as_read`),
+lowers the trace on its own (`lower`) and runs only the copies and
+majorities on the cell grid; a trace that joins as more than a read, or
+that the reference would fault or warn on, is replayed through `apply`.
+`lower` is also the one place that reads a compiled trace's template: a
+`Template` lowers and tallies each program shape once, and `lower` binds
+the probe rows of one query into that lowering.
 """
 
 from __future__ import annotations
@@ -145,8 +148,7 @@ def detect_micro_op(window: Sequence[Command], timing: TimingModel) -> MicroOpDe
 class Lowering:
     """A trace as arrays, plus the micro-ops that change cells.
 
-    Indices count commands of the trace itself, not of the `recent` window
-    it was lowered behind. An ACT on row None carries row -1.
+    Indices count commands of the trace. An ACT on row None carries row -1.
     """
 
     is_act: np.ndarray   # bool per command
@@ -157,16 +159,33 @@ class Lowering:
     flags: tuple         # gap_flags(gaps)
     ops: list            # (ACT index, rows) in command order: (source,
                          # target) for a copy, the opened triple for a majority
-    copies: int
     majorities: int
     written: set[int] | None  # rows rewritten since the last majority, at the end
     fault_at: int | None      # first command the reference faults or warns on
+    counts: dict | None = None  # set by the first `tally()`
+
+    def tally(self) -> dict[str, int]:
+        """Command counts, tallied once: every lowering bound from one
+        template shares them. A negative gap raises TraceFormatError."""
+        if self.counts is None:
+            negative = np.flatnonzero(self.gaps < 0)
+            if len(negative):
+                raise TraceFormatError(f"negative gap on command {negative[0]}")
+            below_multi, below_copy, _, _ = self.flags
+            acts = int(self.is_act.sum())
+            self.counts = {
+                "ACT": acts, "PRE": len(self.is_act) - acts,
+                "truncated_act": int((self.is_act & below_multi).sum()),
+                "truncated_pre": int((~self.is_act & below_copy).sum()),
+                "row_copy": len(self.ops) - self.majorities,
+                "multi_activate": self.majorities}
+        return self.counts
 
 
 def lower(trace: Sequence[Command], timing: TimingModel,
-          recent: Sequence[Command] = (), row_count: int | None = None,
+          row_count: int | None = None,
           written: Iterable[int] | None = None) -> Lowering:
-    """Lower a trace, issued right after the commands `recent`, in one pass.
+    """Lower a trace on its own, in one pass.
 
     Every ACT-PRE-ACT window is classified by `window_kinds`. A copy writes
     the first ACT's row into the last; a majority writes the majority of
@@ -177,15 +196,33 @@ def lower(trace: Sequence[Command], timing: TimingModel,
     bad majority pair, or, when `written` (the rows rewritten since the
     last majority) is given, a stale preset. Rows or gaps that do not fit
     in 64 bits raise TraceFormatError.
+
+    A compiled trace bound under `timing` whose rows fit `row_count` takes
+    the lowering it was bound with, which its template proved fault-free.
     """
-    cmds = [*recent[-2:], *trace]
-    skip = len(cmds) - len(trace)
+    template = getattr(trace, "program", None)
+    if (template is not None and template.timing == timing
+            and template.lowering.fault_at is None
+            and (row_count is None or 0 <= trace.row_span[0]
+                 and trace.row_span[1] < row_count)):
+        low = trace.lowering
+        if written is not None:  # a majority resets the set
+            kept = () if low.majorities else written
+            low = replace(low, written={*kept, *template.lowering.written})
+        return low
+    return _lower_commands(trace, timing, row_count, written)
+
+
+def _lower_commands(trace: Sequence[Command], timing: TimingModel,
+                    row_count: int | None,
+                    written: Iterable[int] | None) -> Lowering:
+    """`lower`, from the commands alone."""
     act_kind = CommandKind.ACT
-    gap_list = [c.gap_after for c in cmds]
-    clock_list = list(accumulate(gap_list[skip:], initial=0))
+    gap_list = [c.gap_after for c in trace]
+    clock_list = list(accumulate(gap_list, initial=0))
     try:
-        is_act = np.array([c.kind is act_kind for c in cmds], dtype=bool)
-        row = np.array([-1 if c.row is None else c.row for c in cmds],
+        is_act = np.array([c.kind is act_kind for c in trace], dtype=bool)
+        row = np.array([-1 if c.row is None else c.row for c in trace],
                        dtype=np.int64)
         gaps = np.array(gap_list, dtype=np.int64)
         clocks = np.array(clock_list[:-1], dtype=np.int64)
@@ -194,12 +231,12 @@ def lower(trace: Sequence[Command], timing: TimingModel,
     flags = gap_flags(gaps, timing)
     faults = []
 
-    acts = np.flatnonzero(is_act[skip:]) + skip
+    acts = np.flatnonzero(is_act)
     if row_count is not None:
         faults.extend(acts[(row[acts] < 0) | (row[acts] >= row_count)][:1])
     faults.extend(acts[(acts > 0) & is_act[acts - 1]][:1])
 
-    # a window ends at every ACT of the trace that follows ACT, PRE
+    # a window ends at every ACT that follows ACT, PRE
     ends = acts[acts >= 2]
     ends = ends[~is_act[ends - 1] & is_act[ends - 2]]
     nominal, copy, multi = window_kinds(tuple(f[ends - 2] for f in flags),
@@ -237,15 +274,14 @@ def lower(trace: Sequence[Command], timing: TimingModel,
                 written = set()
 
     return Lowering(
-        is_act=is_act[skip:], rows=row[skip:], gaps=gaps[skip:], clocks=clocks,
-        duration=clock_list[-1], flags=tuple(f[skip:] for f in flags),
-        ops=[(end - skip, op_rows) for end, op_rows in ops],
-        copies=len(copies), majorities=majorities, written=written,
-        fault_at=int(min(faults)) - skip if faults else None)
+        is_act=is_act, rows=row, gaps=gaps, clocks=clocks,
+        duration=clock_list[-1], flags=flags, ops=ops,
+        majorities=majorities, written=written,
+        fault_at=int(min(faults)) if faults else None)
 
 
 class Template:
-    """A program lowered once, with its probe ACTs left open.
+    """A program lowered and tallied once, with its probe ACTs left open.
 
     `slots` index the probe ACTs of `commands`, whose rows are placeholders.
     Each probe ACT is the source of one row copy and closes no window, so
@@ -260,6 +296,7 @@ class Template:
         self.slots = list(slots)
         self.timing = timing
         self.lowering = low = lower(self.commands, timing, written=set())
+        low.tally()
         op_at = {at: i for i, (at, _) in enumerate(low.ops)}
         self.slot_ops = [op_at.get(slot + 2) for slot in self.slots]
         for slot, i in zip(self.slots, self.slot_ops):
@@ -268,48 +305,27 @@ class Template:
             if (i is None or len(low.ops[i][1]) != 2 or slot in op_at
                     or (slot and low.flags[0][slot - 1])):
                 raise TraceFormatError(f"probe ACT {slot} is not only a copy source")
-        fixed = np.ones(len(self.commands), dtype=bool)
-        fixed[self.slots] = False
-        used = [*low.rows[low.is_act & fixed].tolist(),
+        # placeholders included: a wider span only costs a plain lowering
+        used = [*low.rows[low.is_act].tolist(),
                 *(row for _, rows in low.ops if len(rows) == 3 for row in rows)]
         self.row_span = (min(used, default=0), max(used, default=0))
 
     def bind(self, probes: Sequence[Command]) -> CompiledTrace:
-        """The trace with the ACT commands `probes` in its slots."""
+        """The trace with the ACT commands `probes` in its slots, carrying
+        the template's lowering with their rows bound."""
         trace = CompiledTrace(self.commands)
-        for slot, cmd in zip(self.slots, probes, strict=True):
+        low = self.lowering
+        rows, ops = low.rows.copy(), low.ops.copy()
+        for slot, i, cmd in zip(self.slots, self.slot_ops, probes, strict=True):
             trace[slot] = cmd
-        trace.program = Program(self, [cmd.row for cmd in probes])
+            rows[slot] = cmd.row
+            ops[i] = (ops[i][0], (cmd.row, ops[i][1][1]))
+        trace.lowering = replace(low, rows=rows, ops=ops, written=None)
+        probe_rows = [cmd.row for cmd in probes]
+        trace.row_span = (min([self.row_span[0], *probe_rows]),
+                          max([self.row_span[1], *probe_rows]))
+        trace.program = self
         return trace
-
-
-class Program:
-    """A template with rows bound to its probe ACTs: one compiled trace."""
-
-    def __init__(self, template: Template, probe_rows: Sequence[int]):
-        self.template = template
-        self.probe_rows = list(probe_rows)
-        low, high = template.row_span
-        self.row_span = (min([low, *self.probe_rows]), max([high, *self.probe_rows]))
-
-    @property
-    def duration(self) -> int:
-        return self.template.lowering.duration
-
-    def lowering(self, written: Iterable[int] | None = None) -> Lowering:
-        """Equal to `lower(trace, timing, (), None, written)` of the bound
-        trace, where `timing` is the template's."""
-        template = self.template
-        low = template.lowering
-        rows = low.rows.copy()
-        rows[template.slots] = self.probe_rows
-        ops = low.ops.copy()
-        for i, row in zip(template.slot_ops, self.probe_rows):
-            at, (_, target) = ops[i]
-            ops[i] = (at, (row, target))
-        if written is not None:  # a majority resets the set
-            written = set(low.written) if low.majorities else {*written, *low.written}
-        return replace(low, rows=rows, ops=ops, written=written)
 
 
 @dataclass
@@ -408,26 +424,20 @@ class Subarray:
     def execute(self, trace: Iterable[Command]) -> None:
         """Apply a whole trace; the end state equals an `apply` loop's.
 
-        The trace is lowered once and only its copies and majorities touch
-        the cell grid. A compiled trace's program already holds its
-        lowering; only the row range and the windows its first commands
-        close with the commands before it depend on this subarray. If the
+        The trace is lowered once, on its own, and only its copies and
+        majorities touch the cell grid. If its first commands close any
+        window but a plain read with the last commands before it, or the
         reference would fault or warn anywhere in the trace, nothing is
         changed here and the trace is replayed through `apply`, which
         raises or warns at the same command.
         """
-        program = getattr(trace, "program", None)
-        trace = list(trace)
+        trace = trace if isinstance(trace, list) else list(trace)
         if not trace:
             return
         low = None
-        if (program is not None and program.template.timing == self.timing
-                and 0 <= program.row_span[0] <= program.row_span[1] < self.rows
-                and self._joins_as_read(trace)):
-            low = program.lowering(self._written_since_majority)
-        else:
+        if self._joins_as_read(trace):
             try:
-                low = lower(trace, self.timing, self._recent, self.rows,
+                low = lower(trace, self.timing, self.rows,
                             self._written_since_majority)
             except TraceFormatError:
                 pass
@@ -439,8 +449,8 @@ class Subarray:
         cells = self.cells
         opened, opened_at = [], []
         for at, rows in low.ops:
-            if len(rows) == 2:  # a source ACT before the trace: use what it latched
-                cells[rows[1]] = self.row_buffer if at < 2 else cells[rows[0]]
+            if len(rows) == 2:
+                cells[rows[1]] = cells[rows[0]]
                 continue
             a, b, c = cells[rows[0]], cells[rows[1]], cells[rows[2]]
             cells[rows[0]] = cells[rows[1]] = cells[rows[2]] = (a & b) | (c & (a | b))
@@ -473,8 +483,9 @@ class Subarray:
 
     def _joins_as_read(self, trace: list[Command]) -> bool:
         """Whether every window that the first commands of `trace` close
-        with the last commands before it is a plain read, with no fault, as
-        when the trace is lowered on its own."""
+        with the last commands before it is a plain read, with no fault, so
+        that the trace may be lowered on its own. No other code classifies
+        a window across a trace boundary."""
         cmds = [*self._recent, *trace[:2]]
         for end in range(len(self._recent), len(cmds)):
             if cmds[end].kind is CommandKind.ACT:

@@ -11,6 +11,7 @@ contiguous column group so a match's column address names its species.
 from __future__ import annotations
 
 import logging
+import os
 from bisect import bisect_right
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -328,11 +329,13 @@ def classify_batch(db: KmerDatabase, queries: Sequence[str], kind: str = "exact"
             raise EncodingFault(
                 f"query {q!r} has length {len(q)}, batch requires k={db.k}")
 
-    if parallel > 1 and len(queries) > 1:
-        chunk = -(-len(queries) // parallel)
+    # the pool starts all its workers at once, so start no more than can run
+    workers = min(parallel, len(queries), os.cpu_count() or 1)
+    if workers > 1:
+        chunk = -(-len(queries) // workers)
         jobs = [(db, queries[i:i + chunk], kind)
                 for i in range(0, len(queries), chunk)]
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             chunks = list(pool.map(_classify_chunk, jobs))
         pairs = [pair for part in chunks for pair in part]
     else:

@@ -13,13 +13,10 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
 
 from .config import DeviceConfig, EnergyModel, TimingModel
-from .core import Lowering, Template, lower
-from .errors import AccountingFault, TraceFormatError
+from .core import lower
+from .errors import AccountingFault
 from .trace import Command
 
 
@@ -46,51 +43,24 @@ def account(trace: list[Command], timing: TimingModel,
             energy: EnergyModel) -> Report:
     """Tally command counts, simulated latency and energy for a trace.
 
-    Counts come from the same lowering the simulator executes, on lenient
-    timing: undefined-band windows count as standard, and a majority on
-    rows outside one constrained triple counts nothing. A compiled trace
-    takes them from its template, which was lowered once under thresholds
-    that must equal `timing`'s (strictness changes no count).
+    Counts come from the same lowering the simulator executes, so a
+    compiled trace takes them from its template. Strictness moves only
+    where a fault is recorded, so it changes no count: undefined-band
+    windows count as standard, and a majority on rows outside one
+    constrained triple counts nothing.
     """
-    program = getattr(trace, "program", None)
-    if program is not None and _lenient(program.template.timing) == _lenient(timing):
-        counts, latency = _template_tally(program.template)
-    else:
-        counts, latency = _tally(lower(trace, _lenient(timing)), trace)
+    low = lower(trace, timing)
+    counts = low.tally()
     # Pattern counts are informational; the energy terms stay local to one
     # command so that accounting remains additive under concatenation.
     micro_ops = counts["truncated_act"] + counts["truncated_pre"]
-    latency_ns = timing.ns(latency)
+    latency_ns = timing.ns(low.duration)
     energy_pj = (counts["ACT"] * energy.act_pj + counts["PRE"] * energy.pre_pj
                  + micro_ops * energy.micro_op_pj
                  + energy.background_mw * latency_ns)
-    return Report(counts=dict(counts), latency_cycles=latency,
+    return Report(counts=dict(counts), latency_cycles=low.duration,
                   latency_ns=latency_ns, energy_pj=energy_pj,
                   search_ns=latency_ns, assign_ns=0.0)
-
-
-@lru_cache(maxsize=64)
-def _lenient(timing: TimingModel) -> TimingModel:
-    return dataclasses.replace(timing, strict=False)
-
-
-def _tally(low: Lowering, trace) -> tuple[dict[str, int], int]:
-    """Command counts and duration of the lowering of `trace`."""
-    negative = np.flatnonzero(low.gaps < 0)
-    if len(negative):
-        raise TraceFormatError(f"negative gap on {trace[negative[0]]}")
-    below_multi, below_copy, _, _ = low.flags
-    acts = int(low.is_act.sum())
-    counts = {"ACT": acts, "PRE": len(trace) - acts,
-              "truncated_act": int((low.is_act & below_multi).sum()),
-              "truncated_pre": int((~low.is_act & below_copy).sum()),
-              "row_copy": low.copies, "multi_activate": low.majorities}
-    return counts, low.duration
-
-
-@lru_cache(maxsize=256)
-def _template_tally(template: Template) -> tuple[dict[str, int], int]:
-    return _tally(template.lowering, template.commands)
 
 
 def add_host_assignment(report: Report, queries: int,

@@ -4,7 +4,7 @@ A trace is a plain list of :class:`Command`. Each command carries the time
 gap (abstract units, one DRAM clock cycle each) between itself and the next
 command; all timing-violation behavior is expressed through these gaps. A
 compiled program's trace is a :class:`CompiledTrace`, a list that also
-carries the program it was bound from.
+carries the template it was bound from.
 """
 
 from __future__ import annotations
@@ -31,8 +31,11 @@ class Command:
 
 
 class CompiledTrace(list):
-    """The commands of a compiled program, plus `program`: the bound
-    `core.Program` whose lowering they are, or None once the list changes.
+    """The commands of a compiled program, plus `program`: the
+    `core.Template` they were bound from, or None once the list changes.
+    `core.Template.bind` also sets `lowering` (the template's, with this
+    trace's probe rows) and `row_span` (a range holding every row it
+    opens); only `core.lower` reads them, while `program` is set.
 
     Concatenating or copying one gives a plain list.
     """
@@ -118,10 +121,10 @@ def _parse_gap(token: str) -> int:
 
 def trace_cycles(trace: Sequence[Command]) -> int:
     """Total simulated duration of a trace: the sum of its gaps, which a
-    compiled trace's program holds."""
-    program = getattr(trace, "program", None)
-    if program is not None:
-        return program.duration
+    compiled trace's template holds."""
+    template = getattr(trace, "program", None)
+    if template is not None:
+        return template.lowering.duration
     return sum(cmd.gap_after for cmd in trace)
 
 

@@ -341,6 +341,26 @@ def test_missing_input_file_is_io_fault(kmer_db, tmp_path, capsys,
                           str(tmp_path / "absent.txt"), *args)
 
 
+@pytest.mark.parametrize("geometry", [
+    "cols_per_subarray = 1000000000000000000000000000000",
+    "rows_per_subarray = 100000000000000000000000",
+])
+def test_subarray_too_large_to_allocate_is_config_error(word_db, tmp_path,
+                                                        capsys, monkeypatch,
+                                                        geometry):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(geometry + "\n")
+    q = tmp_path / "q.txt"
+    q.write_text("0011\n")
+
+    def no_subarray(*args, **kwargs):
+        raise AssertionError("a subarray was allocated")
+    monkeypatch.setattr(dramcam.core.Subarray, "__init__", no_subarray)
+    assert_one_fault_line(capsys, "config-error", "search", "--db",
+                          str(word_db), "--queries", str(q), "--config",
+                          str(cfg))
+
+
 @pytest.mark.parametrize("db", ["word_db", "kmer_db"])
 def test_bench_empty_query_file_faults(db, request, tmp_path, capsys):
     q = tmp_path / "empty.txt"

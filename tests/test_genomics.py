@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +247,46 @@ def test_batch_parallel_matches_serial():
     serial, _ = classify_batch(db, queries, parallel=1)
     parallel, _ = classify_batch(db, queries, parallel=3)
     assert serial == parallel
+
+
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records `max_workers` and maps in
+    this process, so no worker process starts."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("parallel,queries,cpus,workers", [
+    (500, 2, 8, 2),   # no more workers than queries
+    (500, 8, 4, 4),   # no more workers than CPUs
+    (3, 8, 4, 3),     # no more workers than asked for
+    (500, 8, 1, None),  # one CPU: no pool at all
+])
+def test_batch_starts_bounded_workers(monkeypatch, parallel, queries, cpus,
+                                      workers):
+    import dramcam.genomics as genomics
+    rng = np.random.default_rng(17)
+    records = [(t, "".join(rng.choice(list("ACGT"), 50))) for t in "ab"]
+    db = ingest(records, 5, DEV)
+    batch = [*db.kmers_by_taxon["a"][:queries - 1], "AAAAA"][:queries]
+    serial = classify_batch(db, batch, parallel=1)
+    monkeypatch.setattr(genomics, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    SerialPool.started = []
+    assert classify_batch(db, batch, parallel=parallel) == serial
+    assert SerialPool.started == ([] if workers is None else [workers])
 
 
 def test_sharded_database_matches_unsharded():

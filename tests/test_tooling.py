@@ -46,3 +46,27 @@ def test_build_shards_returns_subarrays_for_the_tracing_hook():
     shards = db.build_shards()
     assert shards and all(isinstance(s.subarray, dramcam.Subarray)
                           for s in shards)
+
+
+def _program_reads(tree):
+    """Lines that read a `program` attribute, directly or via getattr."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "program"
+                and isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)
+              and node.args[1].value == "program"):
+            yield node.lineno
+
+
+def test_only_core_and_trace_read_a_compiled_program():
+    """Whether a trace runs on its template's lowering is decided in
+    `core.lower` (and `trace_cycles` reads the duration); every other
+    module treats a compiled trace as a plain list."""
+    package = Path(dramcam.__file__).parent
+    readers = {path.name for path in package.rglob("*.py")
+               if any(_program_reads(ast.parse(path.read_text())))}
+    assert readers <= {"core.py", "trace.py"}
+    assert "core.py" in readers
